@@ -5,12 +5,7 @@
 //  * heavy threshold factor 4 (paper) vs 1 vs 16: when to give up on a
 //    match's neighborhood and resample;
 //  * light-only (footnote 8): correct but abandons the lazy machinery --
-//    the work blowup shows why random settling exists;
-//  * steal fixed point (ISSUE 7): the deterministic-reservations steal
-//    resolves displaced chains in-batch (steal_1round keeps the legacy
-//    single claim round, PARMATCH_STEAL_FIXPOINT=0) -- the steal_rds /
-//    retries columns show the engine iterating where the legacy path
-//    stopped after one round.
+//    the work blowup shows why random settling exists.
 //
 // Workloads: the adversarial targeted teardown (settle-heavy) and a neutral
 // churn (balanced), both rank 2.
@@ -30,7 +25,6 @@ namespace {
 struct Variant {
   const char* name;
   dyn::Config cfg;
-  bool steal_fixpoint = true;
 };
 
 std::vector<Variant> variants(std::uint64_t seed) {
@@ -66,11 +60,6 @@ std::vector<Variant> variants(std::uint64_t seed) {
     v.cfg.light_only = true;
     out.push_back(v);
   }
-  {
-    Variant v{"steal_1round", base};
-    v.steal_fixpoint = false;
-    out.push_back(v);
-  }
   return out;
 }
 
@@ -80,7 +69,6 @@ void run_table(const char* title, std::uint64_t seed,
   Table table({"variant", "us/update", "work/update", "samples/upd",
                "settles", "steal_rds", "retries", "stolen", "bloated"});
   for (const auto& v : variants(seed)) {
-    dyn::set_steal_fixpoint(v.steal_fixpoint);
     dyn::DynamicMatcher dm(v.cfg);
     double secs = drive_workload(dm, w);
     const auto& st = dm.cumulative_stats();
@@ -93,7 +81,6 @@ void run_table(const char* title, std::uint64_t seed,
                Table::num(st.spec_retries), Table::num(st.stolen),
                Table::num(st.bloated)});
   }
-  dyn::set_steal_fixpoint(true);
   std::printf("\n");
 }
 

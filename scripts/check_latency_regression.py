@@ -21,22 +21,6 @@ the gated column with --metric, so one script gates any table bench:
 
 --k N is shorthand for the historical E11 call (--bench e11 --where k=N).
 
---compare-scaling flips the script into a WITHIN-RUN scaling gate (used
-by the E15 sharding smoke): instead of fresh-vs-baseline it compares two
-rows of the SAME fresh json -- the row selected by --where against the
-row selected by --where-base -- and fails unless
-
-    metric(where) >= factor * metric(where-base)
-
-e.g. throughput at shards=4 must stay within factor of shards=1:
-
-  check_latency_regression.py NEW.json BENCH_baseline.json \
-      --compare-scaling --metric upd_per_s \
-      --where shards=4 --where-base shards=1 --factor 0.2
-
-(The baseline file argument is still required -- positional compatibility
-with the CI invocations -- but is not read in this mode.)
-
 Exit codes: 0 pass, 1 regression past the factor, 3 selection error (no
 table row matches the --where constraints / --metric column) -- so CI can
 tell "the code got slower" apart from "the gate is pointing at a row that
@@ -97,14 +81,6 @@ def main() -> None:
     ap.add_argument("--k", type=int, default=None,
                     help="shorthand for --bench e11 --where k=N")
     ap.add_argument("--factor", type=float, default=1.5)
-    ap.add_argument("--compare-scaling", action="store_true",
-                    help="gate --where row against --where-base row of the "
-                         "same fresh json: metric(where) >= factor * "
-                         "metric(where-base)")
-    ap.add_argument("--where-base", action="append", default=[],
-                    metavar="COL=VAL",
-                    help="reference-row constraint for --compare-scaling "
-                         "(repeatable)")
     args = ap.parse_args()
 
     where = [tuple(w.split("=", 1)) for w in args.where]
@@ -113,27 +89,6 @@ def main() -> None:
 
     with open(args.new_json) as f:
         new_doc = json.load(f)
-
-    if args.compare_scaling:
-        if not where or not args.where_base:
-            sys.exit("--compare-scaling needs both --where and --where-base")
-        where_base = [tuple(w.split("=", 1)) for w in args.where_base]
-        val = metric_at(new_doc, args.metric, where, args.new_json)
-        base = metric_at(new_doc, args.metric, where_base, args.new_json)
-        cond = ", ".join(f"{c}={v}" for c, v in where)
-        cond_base = ", ".join(f"{c}={v}" for c, v in where_base)
-        ratio = val / base if base else float("inf")
-        print(
-            f"scaling [{cond}] vs [{cond_base}]: {args.metric} {val:.3f} vs "
-            f"{base:.3f} -> x{ratio:.2f} (floor x{args.factor})"
-        )
-        if val < args.factor * base:
-            sys.exit(
-                f"FAIL: {args.metric} at [{cond}] is x{ratio:.2f} of "
-                f"[{cond_base}], below the x{args.factor} scaling floor"
-            )
-        print("OK")
-        return
 
     if not where:
         where = [("k", "16")]

@@ -45,7 +45,6 @@
 //   [P3] classify edges into all-free candidates and steal candidates
 //   [P4] resolve steals to the greedy fixed point: priority-ordered
 //   reserve/commit rounds over per-vertex reservation slots
-//   (PARMATCH_STEAL_FIXPOINT=0 keeps the legacy single claim round)
 //   [P5] resettle bloated matches  [P6] greedy over the candidates
 //   [P7] settle the freed vertices.
 //
@@ -139,31 +138,6 @@
 #include "util/rng.h"
 
 namespace parmatch::dyn {
-
-namespace detail {
-
-inline std::atomic<bool>& steal_fixpoint_slot() {
-  static std::atomic<bool> on{[] {
-    const char* env = std::getenv("PARMATCH_STEAL_FIXPOINT");
-    return env == nullptr || std::strcmp(env, "0") != 0;
-  }()};
-  return on;
-}
-
-}  // namespace detail
-
-// Steal-to-fixed-point toggle (PARMATCH_STEAL_FIXPOINT at startup; default
-// on). Off keeps the pre-engine single claim round, where steal losers drop
-// and displaced chains leak to the next settle -- the E10 ablation's legacy
-// column. This is an ALGORITHM toggle, not an execution-mode one: flipping
-// it changes trajectories, so determinism comparisons hold it fixed.
-inline bool steal_fixpoint() {
-  return detail::steal_fixpoint_slot().load(std::memory_order_relaxed);
-}
-
-inline void set_steal_fixpoint(bool on) {
-  detail::steal_fixpoint_slot().store(on, std::memory_order_relaxed);
-}
 
 struct Config {
   std::uint64_t seed = 1;
@@ -288,7 +262,7 @@ class DynamicMatcher {
       stealers = split.second;
     }
 
-    // P4: steal claim round -- winners displace their victims.
+    // P4: steal rounds -- winners displace their victims.
     resolve_steals(stealers);
 
     // P5: resettle bloated matches through the random-sampling path (not
@@ -482,8 +456,8 @@ class DynamicMatcher {
   // scratch workspace, and stale chain entries are deliberately NOT state:
   // a recovered matcher replays the same trajectory bit-for-bit but may
   // charge different compaction work_units, because import rebuilds every
-  // chain pre-compacted. Shaped for shard hand-off: the stream is
-  // position-independent and self-validating (ROADMAP scale-out item).
+  // chain pre-compacted. The stream is position-independent and
+  // self-validating.
   void export_state(std::vector<std::uint64_t>& out) const {
     out.push_back(kStateMagic);
     out.push_back(kStateVersion);
@@ -544,6 +518,9 @@ class DynamicMatcher {
     std::size_t consumed = 0;
     if (!pool_.import_state(in.subspan(p), &consumed)) return false;
     p += consumed;
+    // Every vertex below the bound carries at least its chain-count word,
+    // so a bound the stream cannot back is rejected before sizing vh_.
+    if (!need(pool_.vertex_bound())) return false;
     ensure_bounds();
     std::size_t ib = pool_.id_bound();
     if (!need(1)) return false;
@@ -556,8 +533,9 @@ class DynamicMatcher {
     if (nm > nlive || !need(3 * nm)) return false;
     for (std::uint64_t i = 0; i < nm; ++i) {
       EdgeId e = static_cast<EdgeId>(in[p++]);
-      if (!pool_.live(e) || vh_[pool_.vertices(e)[0]].taken_by != kInvalid)
-        return false;
+      if (!pool_.live(e)) return false;
+      for (VertexId v : pool_.vertices(e))
+        if (vh_[v].taken_by != kInvalid) return false;
       EdgeHot& h = ehot_[e];
       h.threshold = in[p++];
       h.growth = static_cast<std::uint32_t>(in[p++]);
@@ -570,23 +548,29 @@ class DynamicMatcher {
     // Chain rebuild: one slab reservation for the whole incidence volume,
     // then per-vertex appends in exported order. Refs are recomputed from
     // the restored pool (slot generations included), so only edge ids
-    // travel in the stream.
+    // travel in the stream. Each chain must hold exactly its vertex's live
+    // incidences (the degree counted from the pool, into live_deg), so the
+    // appends never outgrow the reservation.
     std::size_t total = 0;
-    for (std::size_t id = 0; id < ib; ++id)
-      if (pool_.live(static_cast<EdgeId>(id)))
-        total += pool_.rank(static_cast<EdgeId>(id));
+    for (std::size_t id = 0; id < ib; ++id) {
+      if (!pool_.live(static_cast<EdgeId>(id))) continue;
+      for (VertexId v : pool_.vertices(static_cast<EdgeId>(id)))
+        ++vh_[v].live_deg;
+      total += pool_.rank(static_cast<EdgeId>(id));
+    }
     adj_.reserve_for(total, static_cast<std::size_t>(vb));
     for (std::uint64_t v = 0; v < vb; ++v) {
       if (!need(1)) return false;
       std::uint64_t cnt = in[p++];
-      if (!need(cnt)) return false;
       auto& h = vh_[static_cast<std::size_t>(v)];
+      if (cnt != h.live_deg || !need(cnt)) return false;
       for (std::uint64_t j = 0; j < cnt; ++j) {
         EdgeId e = static_cast<EdgeId>(in[p++]);
         if (!pool_.live(e)) return false;
+        auto vs = pool_.vertices(e);
+        if (std::find(vs.begin(), vs.end(), v) == vs.end()) return false;
         adj_.append(h.adj, pool_.packed_ref(e));
       }
-      h.live_deg = static_cast<std::uint32_t>(cnt);
     }
     return p == in.size();
   }
@@ -1061,22 +1045,14 @@ class DynamicMatcher {
     }
   };
 
-  // P4 of insert_edges. Default: iterate the stealers to the greedy fixed
-  // point. Sorted by (priority, id), the stealers run reserve/commit
-  // rounds whose index-min reservations implement priority-min claims, so
-  // the result is exactly the sequential greedy repair in priority order
-  // -- displaced chains resolve inside the batch instead of leaking to
-  // the next settle. PARMATCH_STEAL_FIXPOINT=0 keeps the legacy single
-  // claim round below.
+  // P4 of insert_edges: iterate the stealers to the greedy fixed point.
+  // Sorted by (priority, id), the stealers run reserve/commit rounds whose
+  // index-min reservations implement priority-min claims, so the result is
+  // exactly the sequential greedy repair in priority order -- displaced
+  // chains resolve inside the batch instead of leaking to the next settle.
   void resolve_steals(std::span<const EdgeId> stealers) {
     if (stealers.empty()) return;
     std::size_t ns = stealers.size();
-    if (!steal_fixpoint()) {
-      ++stats_.steal_rounds;
-      ++batch_.steal_rounds;
-      resolve_steals_legacy(stealers);
-      return;
-    }
     stats_.work_units += ns;
     auto order = ws_.arena.alloc<EdgeId>(ns);
     charge_phase(ns);
@@ -1102,120 +1078,6 @@ class DynamicMatcher {
     batch_.spec_retries += st.retries;
     stats_.work_units += st.retries;
     stats_.stolen += step.stolen;
-  }
-
-  // P4, legacy (PARMATCH_STEAL_FIXPOINT=0): one claim round over the steal
-  // candidates. Each stealer CAS-mins itself into every endpoint slot; an
-  // edge owning all its slots wins, displaces the matches it touches, and
-  // commits. Losers do not retry: any vertex they could still want is
-  // either taken by a better edge or freed into settle(), which restores
-  // maximality.
-  void resolve_steals_legacy(std::span<const EdgeId> stealers) {
-    std::size_t ns = stealers.size();
-    const bool seq = parallel::run_phase_seq(ns);
-    if (seq) {
-      resolve_steals_fused(stealers);
-      return;
-    }
-    charge_phase(ns);
-    parallel::parallel_for_blocked(0, ns, [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) {
-        if (i + kPrefetchAhead < e)
-          for (VertexId v : pool_.vertices(stealers[i + kPrefetchAhead]))
-            prefetch_write(&vh_[v]);
-        EdgeId ed = stealers[i];
-        for (VertexId v : pool_.vertices(ed)) {
-          std::atomic_ref<EdgeId> slot(vh_[v].min_edge);
-          EdgeId cur = slot.load(std::memory_order_relaxed);
-          while (cur == kInvalid ||
-                 matching::detail::beats(pri_[ed], ed, pri_[cur], cur)) {
-            if (slot.compare_exchange_weak(cur, ed,
-                                           std::memory_order_acq_rel))
-              break;
-          }
-        }
-      }
-    });
-    auto winners = prims::filter_marked(
-        stealers,
-        [&](EdgeId e) {
-          for (VertexId v : pool_.vertices(e))
-            if (vh_[v].min_edge != e) return false;
-          return true;
-        },
-        ws_.arena);
-    charge_phase(ns);
-    parallel::parallel_for(0, ns, [&](std::size_t i) {
-      for (VertexId v : pool_.vertices(stealers[i]))
-        std::atomic_ref<EdgeId>(vh_[v].min_edge)
-            .store(kInvalid, std::memory_order_relaxed);
-    });
-    if (winners.empty()) return;
-    // A victim can touch two winners at different vertices; dedup (ascending
-    // sort + pack) before unmatching so each is displaced exactly once.
-    ws_.victims.clear();
-    for (EdgeId e : winners)
-      for (VertexId v : pool_.vertices(e)) {
-        EdgeId t = vh_[v].taken_by;
-        if (t != kInvalid) ws_.victims.push_back(t);
-      }
-    charge_phases(kRadixPhases + 1, ws_.victims.size());
-    prims::radix_sort(std::span<EdgeId>(ws_.victims),
-                      [](EdgeId e) { return std::uint64_t(e); }, id_bits(),
-                      ws_.arena);
-    auto victims = prims::dedup_sorted(
-        std::span<const EdgeId>(ws_.victims), ws_.arena);
-    unmatch_all(victims);
-    commit_matches(winners);
-    stats_.stolen += winners.size();
-  }
-
-  // P4, fused strategy: the identical claim/winner/victim logic as direct
-  // plain-memory loops -- same charges, same winner and victim order, none
-  // of the mark/pack machinery.
-  void resolve_steals_fused(std::span<const EdgeId> stealers) {
-    std::size_t ns = stealers.size();
-    charge_phase(ns);
-    for (std::size_t i = 0; i < ns; ++i) {
-      if (i + kPrefetchAhead < ns)
-        for (VertexId v : pool_.vertices(stealers[i + kPrefetchAhead]))
-          prefetch_write(&vh_[v]);
-      EdgeId ed = stealers[i];
-      for (VertexId v : pool_.vertices(ed)) {
-        EdgeId cur = vh_[v].min_edge;
-        if (cur == kInvalid ||
-            matching::detail::beats(pri_[ed], ed, pri_[cur], cur))
-          vh_[v].min_edge = ed;
-      }
-    }
-    auto winners = ws_.arena.alloc<EdgeId>(ns);
-    std::size_t nw = 0;
-    for (EdgeId e : stealers) {
-      bool owns = true;
-      for (VertexId v : pool_.vertices(e)) owns = owns && vh_[v].min_edge == e;
-      if (owns) winners[nw++] = e;
-    }
-    charge_phase(ns);
-    for (EdgeId e : stealers)
-      for (VertexId v : pool_.vertices(e)) vh_[v].min_edge = kInvalid;
-    if (nw == 0) return;
-    ws_.victims.clear();
-    for (std::size_t i = 0; i < nw; ++i)
-      for (VertexId v : pool_.vertices(winners[i])) {
-        EdgeId t = vh_[v].taken_by;
-        if (t != kInvalid) ws_.victims.push_back(t);
-      }
-    charge_phases(kRadixPhases + 1, ws_.victims.size());
-    prims::radix_sort(std::span<EdgeId>(ws_.victims),
-                      [](EdgeId e) { return std::uint64_t(e); }, id_bits(),
-                      ws_.arena);
-    std::size_t m = 0;
-    for (std::size_t i = 0; i < ws_.victims.size(); ++i)
-      if (i == 0 || ws_.victims[i] != ws_.victims[i - 1])
-        ws_.victims[m++] = ws_.victims[i];
-    unmatch_all({ws_.victims.data(), m});
-    commit_matches({winners.data(), nw});
-    stats_.stolen += nw;
   }
 
   // ---- greedy over a candidate set ------------------------------------

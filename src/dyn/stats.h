@@ -18,9 +18,7 @@ struct CumulativeStats {
   std::size_t settle_rounds = 0;    // settle reserve/commit rounds, all
                                     // batches
   std::size_t steal_rounds = 0;     // steal reserve/commit rounds, all
-                                    // batches (1 per non-empty stealer set
-                                    // on the PARMATCH_STEAL_FIXPOINT=0
-                                    // legacy path)
+                                    // batches
   std::size_t spec_retries = 0;     // deterministic-reservations retries
                                     // (prims/speculative_for.h) across the
                                     // settle, steal, and greedy engines

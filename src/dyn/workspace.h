@@ -38,7 +38,6 @@ struct BatchWorkspace {
                                        // (valid until the next batch)
   std::vector<graph::VertexId> freed;  // vertices freed this batch; doubles as
                                        // the settle pending set
-  std::vector<graph::EdgeId> victims;  // matches displaced by steal winners
   std::vector<graph::EdgeId> matched;  // winners of one greedy invocation
 
   // Settle candidate cache (DynamicMatcher::settle): one adjacency harvest

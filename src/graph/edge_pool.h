@@ -243,22 +243,30 @@ class EdgePool {
   // Restores a stream produced by export_state on a pool constructed with
   // the SAME max_rank (the stream has no stride of its own). Only valid on
   // a fresh pool. Returns false on a malformed stream; `consumed` gets the
-  // number of words read on success.
+  // number of words read on success. A stream can pass its checkpoint CRC
+  // and still be wrong, so nothing in it is trusted: every size is bounded
+  // by the words actually present before it is multiplied, the live count
+  // is recounted from the slot ranks, every live slot must have rank
+  // 1..max_rank and vertex ids below the vertex bound, and the free list
+  // must name each dead slot exactly once.
   bool import_state(std::span<const std::uint64_t> in, std::size_t* consumed) {
     assert(nslots_ == 0 && live_ == 0 && "import into a used pool");
     if (in.size() < 4) return false;
-    const std::size_t nslots = static_cast<std::size_t>(in[0]);
-    const std::size_t vb = static_cast<std::size_t>(in[1]);
-    const std::size_t live = static_cast<std::size_t>(in[2]);
-    const std::size_t nfree = static_cast<std::size_t>(in[3]);
-    const std::size_t nwords = nslots * stride_;
+    const std::uint64_t nslots = in[0];
+    const std::uint64_t vb = in[1];
+    const std::uint64_t live = in[2];
+    const std::uint64_t nfree = in[3];
+    const std::size_t avail = in.size() - 4;
+    // Ids and vertex ids are 32-bit; with nslots bounded the slab size
+    // below cannot wrap (stride_ <= 258).
+    if (nslots > kInvalidEdge || vb > kInvalidVertex) return false;
+    if (live > nslots || nfree != nslots - live || nfree > avail)
+      return false;
+    const std::size_t nwords = static_cast<std::size_t>(nslots) * stride_;
     const std::size_t ndata = (nwords + 1) / 2;
-    if (nfree > nslots || live + nfree > nslots) return false;
-    if (in.size() < 4 + nfree + ndata) return false;
+    if (ndata > avail - nfree) return false;
     std::size_t p = 4;
     free_.assign(in.begin() + p, in.begin() + p + nfree);
-    for (EdgeId id : free_)
-      if (id >= nslots) return false;
     p += nfree;
     data_.resize(nwords);
     for (std::size_t i = 0; i < nwords; i += 2) {
@@ -267,9 +275,27 @@ class EdgePool {
       if (i + 1 < nwords) data_[i + 1] = static_cast<std::uint32_t>(w >> 32);
     }
     p += ndata;
-    nslots_ = nslots;
+    nslots_ = static_cast<std::size_t>(nslots);
+    std::size_t counted = 0;
+    for (std::size_t id = 0; id < nslots_; ++id) {
+      std::uint32_t r = rank_at(static_cast<EdgeId>(id));
+      if (r == 0) continue;
+      if (r > max_rank_) return false;
+      const VertexId* vs = row(static_cast<EdgeId>(id));
+      for (std::uint32_t j = 0; j < r; ++j)
+        if (vs[j] >= vb) return false;
+      ++counted;
+    }
+    if (counted != live) return false;
+    // With nfree == nslots - live, distinct dead ids make the free list
+    // exactly the dead set.
+    std::vector<bool> listed(nslots_);
+    for (EdgeId id : free_) {
+      if (id >= nslots_ || rank_at(id) != 0 || listed[id]) return false;
+      listed[id] = true;
+    }
     vertex_bound_ = static_cast<VertexId>(vb);
-    live_ = live;
+    live_ = static_cast<std::size_t>(live);
     if (consumed) *consumed = p;
     return true;
   }

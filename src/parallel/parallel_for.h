@@ -4,7 +4,8 @@
 // body wants to keep per-chunk accumulators.
 //
 // Complexity contract: n iterations of an O(1) body cost O(n) work and
-// O(grain + n/P) span; with PARMATCH_SEQ=1 both collapse to a plain loop.
+// O(grain + n/P) span; with PARMATCH_NUM_THREADS=1 both collapse to a plain
+// loop.
 #pragma once
 
 #include <bit>
@@ -25,10 +26,10 @@ inline std::size_t model_depth(std::size_t n) {
   return n <= 1 ? 1 : 1 + static_cast<std::size_t>(std::bit_width(n - 1));
 }
 
-// True when the pool has exactly one worker (PARMATCH_SEQ=1 or a 1-core
-// host). Parallel phases then run inline on the caller, so hot loops may
-// take plain-memory fallbacks for their CAS/fetch-add sites -- the results
-// are identical by the determinism contract (DESIGN.md S2), but the
+// True when the pool has exactly one worker (PARMATCH_NUM_THREADS=1 or a
+// 1-core host). Parallel phases then run inline on the caller, so hot loops
+// may take plain-memory fallbacks for their CAS/fetch-add sites -- the
+// results are identical by the determinism contract (DESIGN.md S2), but the
 // lock-prefixed instructions are pure overhead without concurrency.
 inline bool sequential_mode() { return num_workers() == 1; }
 

@@ -19,9 +19,9 @@
 // Concurrent fork/join ROOTS (DESIGN.md S10): an external thread entering
 // run() claims one of kMaxRoots root slots -- each slot is its own deque --
 // instead of the old become-worker-0-under-a-mutex protocol, so multiple
-// external threads (the serve pipeline's matcher stage, bench drivers,
-// future shard owners) can each run nested parallel_for simultaneously over
-// the SHARED helper pool. Thieves scan every deque, worker and root alike,
+// external threads (the serve pipeline's matcher stage, bench drivers) can
+// each run nested parallel_for simultaneously over the SHARED helper pool.
+// Thieves scan every deque, worker and root alike,
 // so helpers load-balance across whatever roots are live; a joining root
 // steals too, which may execute another root's task -- tasks are
 // self-contained (fn + ctx + range), so cross-root help is correctness-
@@ -42,14 +42,14 @@
 // uncontended exchange; phases below the grain (and 1-worker pools) run
 // inline without claiming anything.
 //
-// Worker count is fixed at first use: PARMATCH_SEQ=1 forces 1 worker (fully
-// sequential), PARMATCH_NUM_THREADS=k pins k, otherwise hardware
-// concurrency. Complexity contract: a loop of n iterations with grain g
-// costs n work, O(n/g) fork events, and O(g + log(n/g)) span on enough
-// workers. Chunks delivered to the body are the grain-aligned blocks
-// [k*g, (k+1)*g) (last one truncated), except the sequential fast path
-// which delivers one chunk [0, n) -- the same contract the blocked
-// primitives already rely on (DESIGN.md S2).
+// Worker count is fixed at first use: PARMATCH_NUM_THREADS=k pins k (k = 1
+// is fully sequential), otherwise hardware concurrency. Complexity
+// contract: a loop of n iterations with grain g costs n work, O(n/g) fork
+// events, and O(g + log(n/g)) span on enough workers. Chunks delivered to
+// the body are the grain-aligned blocks [k*g, (k+1)*g) (last one
+// truncated), except the sequential fast path which delivers one chunk
+// [0, n) -- the same contract the blocked primitives already rely on
+// (DESIGN.md S2).
 #pragma once
 
 #include <array>
@@ -413,8 +413,6 @@ class Scheduler {
   }
 
   static int decide_workers() {
-    if (const char* seq = std::getenv("PARMATCH_SEQ"); seq && seq[0] == '1')
-      return 1;
     if (const char* env = std::getenv("PARMATCH_NUM_THREADS")) {
       int k = std::atoi(env);
       if (k >= 1) return k;

@@ -5,9 +5,7 @@
 // is consistent WITH, and the producer ticket counter. A checkpoint plus
 // the journal suffix with seqno greater than its own reconstructs the
 // pre-crash matcher bit-identically (the recovery proof sketch in
-// DESIGN.md S14); it is also exactly the byte stream a future sharded
-// deployment ships to hand a shard to another owner (ROADMAP scale-out
-// item).
+// DESIGN.md S14).
 //
 // Write protocol, crash-safe by construction:
 //   serialize (matcher stage, in memory)  -->  background writer thread:

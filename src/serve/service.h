@@ -112,7 +112,6 @@
 
 #include "dyn/dynamic_matcher.h"
 #include "graph/edge.h"
-#include "shard/shard_map.h"
 #include "serve/admission.h"
 #include "serve/batch_former.h"
 #include "serve/checkpoint.h"
@@ -156,12 +155,6 @@ struct ServiceConfig {
   // default -- policy off -- is the pre-S14 service: no journal I/O, no
   // recovery at construction.
   JournalConfig journal;
-  // Shard count for the sharded-matcher configuration (DESIGN.md S15).
-  // Ignored by BasicMatchService<DynamicMatcher>; consumed by the
-  // MatcherTraits specialization that builds a ShardedMatcher
-  // (shard/sharded_service.h). PARMATCH_SHARDS from the environment.
-  std::uint32_t shards = 1;
-
   static ServiceConfig from_env() {
     ServiceConfig c;
     c.former = FormerConfig::from_env();
@@ -169,7 +162,6 @@ struct ServiceConfig {
     if (const char* e = std::getenv("PARMATCH_PIPELINE"))
       c.pipeline = !(std::strcmp(e, "0") == 0 || std::strcmp(e, "off") == 0);
     c.journal = JournalConfig::from_env();
-    c.shards = shard::shards_from_env();
     return c;
   }
 };
@@ -212,26 +204,8 @@ struct ServiceStats {
   void clear() { *this = ServiceStats{}; }
 };
 
-// How BasicMatchService<M> builds its matcher from the service config.
-// The primary template covers any matcher constructible from dyn::Config;
-// matchers with richer configuration (the sharded one wants the shard
-// count too) specialize it -- see shard/sharded_service.h. make() returns
-// a prvalue, so the service's member initializes by guaranteed copy
-// elision and M never needs to be movable (the sharded matcher holds
-// atomics-bearing rings and is not).
-template <typename M>
-struct MatcherTraits {
-  static M make(const ServiceConfig& cfg) { return M(cfg.matcher); }
-};
-
-// The serving front-end over any matcher M satisfying the DynamicMatcher
-// update/read/durability surface (insert_edges, delete_edges, match_of,
-// matched_count, set_delta_sink, insert_epochs/settle_epochs,
-// export_state/import_state/state_fingerprint). Members are instantiated
-// lazily, so a matcher only needs the operations the caller exercises.
-// `MatchService` below is the plain single-matcher alias.
-template <typename M>
-class BasicMatchService {
+// The serving front-end over one dyn::DynamicMatcher.
+class MatchService {
   using VertexId = graph::VertexId;
   using EdgeId = graph::EdgeId;
 
@@ -242,9 +216,9 @@ class BasicMatchService {
   // a live ticket -- but callers should simply skip the delete.
   static constexpr std::uint64_t kShedTicket = ~0ull;
 
-  explicit BasicMatchService(const ServiceConfig& cfg)
+  explicit MatchService(const ServiceConfig& cfg)
       : cfg_(capped(cfg)),
-        dm_(MatcherTraits<M>::make(cfg_)),
+        dm_(cfg_.matcher),
         queue_(cfg_.admission, cfg_.queue_capacity, &fi_),
         former_(cfg_.former),
         snap_match_(
@@ -268,10 +242,10 @@ class BasicMatchService {
     }
   }
 
-  ~BasicMatchService() { stop(); }
+  ~MatchService() { stop(); }
 
-  BasicMatchService(const BasicMatchService&) = delete;
-  BasicMatchService& operator=(const BasicMatchService&) = delete;
+  MatchService(const MatchService&) = delete;
+  MatchService& operator=(const MatchService&) = delete;
 
   // ---- lifecycle -------------------------------------------------------
 
@@ -447,7 +421,7 @@ class BasicMatchService {
 
   // The structure underneath. Safe only while the stage threads are idle
   // (after stop() or a drain_until_idle() with producers quiesced).
-  const M& matcher() const { return dm_; }
+  const dyn::DynamicMatcher& matcher() const { return dm_; }
 
   // Live edge id of a ticket, kInvalidEdge if never applied or deleted.
   // Same safety rule as matcher().
@@ -1187,7 +1161,7 @@ class BasicMatchService {
   }
 
   ServiceConfig cfg_;
-  M dm_;
+  dyn::DynamicMatcher dm_;
   FaultInjector fi_;  // declared before queue_ (AdmissionQueue keeps &fi_)
   AdmissionQueue queue_;
   BatchFormer former_;
@@ -1252,9 +1226,5 @@ class BasicMatchService {
   SpscRing<Window*> apply_ring_;
   SpscRing<Window*> publish_ring_;
 };
-
-// The plain single-matcher service -- the name the rest of the codebase
-// (and every pre-S15 test and bench) uses.
-using MatchService = BasicMatchService<dyn::DynamicMatcher>;
 
 }  // namespace parmatch::serve

@@ -117,50 +117,24 @@ TEST(ExecModes, LightOnlyAblationBitIdenticalAcrossModes) {
   expect_identical(seq, ad, "light_only", 7);
 }
 
-// The reservation-engine knobs cross the mode equivalence: every
-// PARMATCH_SPEC_GRAIN setting and both PARMATCH_STEAL_FIXPOINT settings
-// define their OWN deterministic trajectory, and within each setting the
-// three execution modes must still agree bit for bit. (Grain changes
-// round-keyed draws; the fixpoint toggle changes the steal algorithm -- so
-// records are only compared within a knob setting, never across.)
+// The reservation-engine grain crosses the mode equivalence: every
+// PARMATCH_SPEC_GRAIN setting defines its OWN deterministic trajectory
+// (grain changes round-keyed draws, so records are only compared within a
+// setting, never across), and within each setting the three execution
+// modes must still agree bit for bit.
 TEST(ExecModes, EngineKnobsPreserveModeEquivalence) {
   std::size_t saved_grain = prims::spec_grain();
-  bool saved_fix = dyn::steal_fixpoint();
   auto w = gen::churn(gen::erdos_renyi(350, 1'400, 41), 24, 0.45, 211);
   for (std::size_t grain : {std::size_t{0}, std::size_t{2}, std::size_t{16}}) {
-    for (bool fix : {true, false}) {
-      prims::set_spec_grain(grain);
-      dyn::set_steal_fixpoint(fix);
-      auto seq = run_workload(w, parallel::ExecMode::kSequential);
-      auto par = run_workload(w, parallel::ExecMode::kParallel);
-      auto ad = run_workload(w, parallel::ExecMode::kAdaptive);
-      std::string tag = "grain=" + std::to_string(grain) +
-                        " fixpoint=" + std::to_string(fix);
-      expect_identical(seq, par, tag.c_str(), 24);
-      expect_identical(seq, ad, tag.c_str(), 24);
-    }
+    prims::set_spec_grain(grain);
+    auto seq = run_workload(w, parallel::ExecMode::kSequential);
+    auto par = run_workload(w, parallel::ExecMode::kParallel);
+    auto ad = run_workload(w, parallel::ExecMode::kAdaptive);
+    std::string tag = "grain=" + std::to_string(grain);
+    expect_identical(seq, par, tag.c_str(), 24);
+    expect_identical(seq, ad, tag.c_str(), 24);
   }
   prims::set_spec_grain(saved_grain);
-  dyn::set_steal_fixpoint(saved_fix);
-}
-
-// The legacy one-round steal path must be observably different machinery:
-// it counts exactly one steal round per non-empty stealer set, while the
-// fixed-point engine iterates (and can retry). Matchings may legitimately
-// differ -- that is the point of the toggle -- but both must stay maximal
-// trajectories with the same insert/delete ledger.
-TEST(ExecModes, StealFixpointToggleChangesRoundAccounting) {
-  bool saved_fix = dyn::steal_fixpoint();
-  auto w = gen::churn(gen::erdos_renyi(350, 1'400, 43), 32, 0.6, 97);
-  dyn::set_steal_fixpoint(true);
-  auto fix = run_workload(w, parallel::ExecMode::kAdaptive);
-  dyn::set_steal_fixpoint(false);
-  auto legacy = run_workload(w, parallel::ExecMode::kAdaptive);
-  dyn::set_steal_fixpoint(saved_fix);
-  ASSERT_EQ(fix.size(), legacy.size());
-  // Both paths engaged the steal machinery at least once.
-  EXPECT_GT(fix.back().steal_rounds_cum, 0u);
-  EXPECT_GT(legacy.back().steal_rounds_cum, 0u);
 }
 
 // The fused_batches diagnostic must actually engage: forced-sequential

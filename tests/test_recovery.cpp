@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -29,7 +30,6 @@
 #include "serve/checkpoint.h"
 #include "serve/journal.h"
 #include "serve/service.h"
-#include "shard/sharded_service.h"
 #include "util/io/record_log.h"
 #include "util/rng.h"
 
@@ -58,6 +58,62 @@ struct DirGuard {
     std::filesystem::remove_all(dir, ec);
   }
 };
+
+// Valid + maximal + count-consistent: every matched edge is live and owns
+// each of its endpoints, no live edge has all endpoints free, and
+// matched_count() agrees with the matched-edge list.
+bool matching_is_valid_and_maximal(const dyn::DynamicMatcher& dm) {
+  const auto& pool = dm.pool();
+  auto matched = dm.matching();
+  if (matched.size() != dm.matched_count()) return false;
+  std::set<EdgeId> in_matching(matched.begin(), matched.end());
+  for (EdgeId e : matched) {
+    if (!pool.live(e)) return false;
+    for (VertexId v : pool.vertices(e))
+      if (dm.match_of(v) != e) return false;
+  }
+  for (std::size_t id = 0; id < pool.id_bound(); ++id) {
+    EdgeId e = static_cast<EdgeId>(id);
+    if (!pool.live(e) || in_matching.count(e) != 0) continue;
+    bool blocked = false;
+    for (VertexId v : pool.vertices(e))
+      blocked = blocked || dm.match_of(v) != graph::kInvalidEdge;
+    if (!blocked) return false;
+  }
+  return true;
+}
+
+// Drives `n` fresh inserts over four priority lanes into a started
+// service, stops it, and checks shed conservation per lane -- offered ==
+// committed + shed_reject + shed_evict + shed_stale -- plus a valid,
+// maximal matching. Used on freshly recovered services.
+void expect_post_recovery_conservation(serve::MatchService& svc,
+                                       std::size_t n, VertexId nv,
+                                       std::uint64_t salt) {
+  svc.start();
+  for (std::size_t i = 0; i < n; ++i) {
+    VertexId a = static_cast<VertexId>(hash64(salt, i) % nv);
+    VertexId b = static_cast<VertexId>(hash64(salt + 1, i) % nv);
+    if (a == b) b = (b + 1) % nv;
+    VertexId vs[2] = {a, b};
+    svc.submit_insert(std::span<const VertexId>(vs, 2),
+                      static_cast<std::uint8_t>(i % 4));
+  }
+  svc.drain_until_idle();
+  svc.stop();
+  std::uint64_t off = 0, com = 0, shed = 0;
+  for (std::size_t l = 0; l < 4; ++l) {
+    auto lr = svc.lane_report(l);
+    off += lr.offered;
+    com += lr.committed;
+    shed += lr.shed_reject + lr.shed_evict + lr.shed_stale;
+    EXPECT_EQ(lr.offered, lr.committed + lr.shed_reject + lr.shed_evict +
+                              lr.shed_stale)
+        << "lane " << l << " post-recovery conservation";
+  }
+  EXPECT_EQ(off, com + shed);
+  EXPECT_TRUE(matching_is_valid_and_maximal(svc.matcher()));
+}
 
 // ---- record log ----------------------------------------------------------
 
@@ -225,6 +281,92 @@ TEST(MatcherState, ImportRejectsConfigMismatchAndGarbage) {
   EXPECT_FALSE(fresh.import_state(truncated));
 }
 
+// A checkpoint stream can pass its CRC and still be wrong (a buggy or
+// version-skewed writer). Each crafted stream below starts from a valid
+// export and breaks exactly one invariant the importer must verify rather
+// than trust; every one must be rejected cleanly -- no UB, no silently
+// accepted state.
+TEST(MatcherState, ImportRejectsCraftedStreams) {
+  dyn::Config cfg;
+  cfg.seed = 6;
+  dyn::DynamicMatcher a(cfg);
+  a.insert_edges(gen::erdos_renyi(200, 600, 21));
+  std::vector<std::uint64_t> good;
+  a.export_state(good);
+
+  // Stream layout (DynamicMatcher::export_state): 9 header words, then the
+  // pool -- [nslots][vertex_bound][live][nfree][free ids][slot data packed
+  // 2 x u32 per word] -- then [nlive][priorities][nm][(edge, threshold,
+  // growth) x nm], then the per-vertex chains.
+  constexpr std::size_t kPool = 9;
+  constexpr std::size_t kStride = 4;  // rank-2 record: gen, rank, v0, v1
+  const std::uint64_t nslots = good[kPool];
+  const std::uint64_t vbound = good[kPool + 1];
+  const std::size_t data = kPool + 4 + good[kPool + 3];
+  const std::size_t nlive_at = data + (nslots * kStride + 1) / 2;
+  const std::size_t nm_at = nlive_at + 1 + good[nlive_at];
+  ASSERT_GE(good[nm_at], 2u) << "need two matched edges to cross-wire";
+  auto matched = [&](std::size_t i) {
+    return static_cast<EdgeId>(good[nm_at + 1 + 3 * i]);
+  };
+  // 32-bit word `field` (0 gen, 1 rank, 2.. vertices) of slot `id`.
+  auto set_slot = [&](std::vector<std::uint64_t>& w, EdgeId id,
+                      std::size_t field, std::uint32_t value) {
+    std::size_t i = static_cast<std::size_t>(id) * kStride + field;
+    std::uint64_t& word = w[data + i / 2];
+    unsigned shift = (i % 2) * 32;
+    word = (word & ~(0xFFFF'FFFFull << shift)) |
+           (static_cast<std::uint64_t>(value) << shift);
+  };
+  auto slot = [&](EdgeId id, std::size_t field) {
+    std::size_t i = static_cast<std::size_t>(id) * kStride + field;
+    return static_cast<std::uint32_t>(good[data + i / 2] >> ((i % 2) * 32));
+  };
+  auto rejects = [&](const std::vector<std::uint64_t>& w) {
+    dyn::DynamicMatcher m(cfg);
+    return !m.import_state(w);
+  };
+
+  {
+    dyn::DynamicMatcher m(cfg);
+    ASSERT_TRUE(m.import_state(good));
+    ASSERT_EQ(m.state_fingerprint(), a.state_fingerprint());
+  }
+  {
+    // nslots * stride wraps to the true slab size: the size check alone
+    // would pass and the matcher would size its arrays by 2^62 slots.
+    auto w = good;
+    w[kPool] = nslots + (1ull << 62);
+    EXPECT_TRUE(rejects(w)) << "slot-count overflow accepted";
+  }
+  {
+    // A live count the slot ranks do not back up (matcher's copy agrees).
+    auto w = good;
+    w[kPool + 2] -= 1;
+    w[nlive_at] -= 1;
+    EXPECT_TRUE(rejects(w)) << "unrecounted live count accepted";
+  }
+  {
+    // A live slot whose rank exceeds max_rank.
+    auto w = good;
+    set_slot(w, matched(0), 1, 0xFFFF'FFFFu);
+    EXPECT_TRUE(rejects(w)) << "out-of-range rank accepted";
+  }
+  {
+    // A live slot naming a vertex past the stream's vertex bound.
+    auto w = good;
+    set_slot(w, matched(0), 2, static_cast<std::uint32_t>(vbound + 5));
+    EXPECT_TRUE(rejects(w)) << "out-of-range vertex id accepted";
+  }
+  {
+    // Two matched edges sharing their SECOND endpoint: the first endpoint
+    // is free at the check, so only a check of every endpoint catches it.
+    auto w = good;
+    set_slot(w, matched(1), 3, slot(matched(0), 3));
+    EXPECT_TRUE(rejects(w)) << "vertex matched twice accepted";
+  }
+}
+
 // ---- checkpoint files ----------------------------------------------------
 
 TEST(Checkpoint, WriteLoadFallbackAndPrune) {
@@ -281,7 +423,8 @@ serve::ServiceConfig pinned_cfg(const std::string& dir,
 }
 
 // Drives the flattened churn stream through a service; returns its idle
-// fingerprint after stop().
+// fingerprint after stop(). Each update rides lane edge % lanes, so a delete
+// always shares its insert's lane (per-lane FIFO is the API contract).
 std::uint64_t run_serve_stream(const serve::ServiceConfig& cfg,
                                const gen::Workload& w,
                                const std::vector<gen::Update>& stream) {
@@ -289,10 +432,11 @@ std::uint64_t run_serve_stream(const serve::ServiceConfig& cfg,
   svc.start();
   std::vector<std::uint64_t> ticket(w.master.size(), 0);
   for (const gen::Update& u : stream) {
+    auto lane = static_cast<std::uint8_t>(u.edge % cfg.admission.lanes);
     if (u.is_insert)
-      ticket[u.edge] = svc.submit_insert(w.master.edge(u.edge));
+      ticket[u.edge] = svc.submit_insert(w.master.edge(u.edge), lane);
     else
-      svc.submit_delete(ticket[u.edge]);
+      svc.submit_delete(ticket[u.edge], lane);
   }
   // stop(), not drain_until_idle(): under the pinned partition a partial
   // final window only ever flushes via stop()'s kDrain.
@@ -326,33 +470,43 @@ TEST(ServiceRecovery, CleanRunReplaysBitIdentically) {
   EXPECT_GT(snap, 0u);
 }
 
+// Checkpoint import + journal suffix lands on the same state as a pure
+// replay of the whole log -- with one lane, and with four priority lanes
+// (whose drain interleaving shapes the windows the journal records).
 TEST(ServiceRecovery, CheckpointPlusSuffixEqualsPureReplay) {
-  DirGuard ga(temp_dir("svc_ckpt"));
-  DirGuard gb(temp_dir("svc_pure"));
   gen::Workload w = gen::churn(gen::erdos_renyi(700, 2'800, 13), 1, 0.5, 31);
   auto stream = gen::flatten(w);
-  std::uint64_t fp = run_serve_stream(
-      pinned_cfg(ga.dir, serve::JournalPolicy::kAsync, /*ckpt_every=*/4), w,
-      stream);
+  for (std::uint32_t lanes : {1u, 4u}) {
+    SCOPED_TRACE(lanes);
+    DirGuard ga(temp_dir("svc_ckpt"));
+    DirGuard gb(temp_dir("svc_pure"));
+    auto cfg_for = [&](const std::string& dir, std::uint64_t ckpt_every) {
+      serve::ServiceConfig c =
+          pinned_cfg(dir, serve::JournalPolicy::kAsync, ckpt_every);
+      c.admission.lanes = lanes;
+      return c;
+    };
+    std::uint64_t fp = run_serve_stream(cfg_for(ga.dir, 4), w, stream);
 
-  // Route 1: checkpoint + journal suffix.
-  serve::MatchService from_ckpt(
-      pinned_cfg(ga.dir, serve::JournalPolicy::kAsync, 4));
-  EXPECT_GT(from_ckpt.recovery_info().checkpoint_seqno, 0u)
-      << "checkpoint was never taken; the equivalence below is vacuous";
-  EXPECT_EQ(from_ckpt.recovery_info().epoch_mismatches, 0u);
-  EXPECT_EQ(from_ckpt.recovery_fingerprint(), fp);
+    // Route 1: checkpoint + journal suffix.
+    serve::MatchService from_ckpt(cfg_for(ga.dir, 4));
+    EXPECT_GT(from_ckpt.recovery_info().checkpoint_seqno, 0u)
+        << "checkpoint was never taken; the equivalence below is vacuous";
+    EXPECT_FALSE(from_ckpt.recovery_info().import_failed);
+    EXPECT_EQ(from_ckpt.recovery_info().epoch_mismatches, 0u);
+    EXPECT_EQ(from_ckpt.recovery_fingerprint(), fp);
+    EXPECT_TRUE(matching_is_valid_and_maximal(from_ckpt.matcher()));
 
-  // Route 2: the same wal.log alone, no checkpoint -- full replay.
-  std::error_code ec;
-  std::filesystem::copy_file(serve::journal_path(ga.dir),
-                             serve::journal_path(gb.dir),
-                             std::filesystem::copy_options::overwrite_existing,
-                             ec);
-  ASSERT_FALSE(ec);
-  serve::MatchService pure(pinned_cfg(gb.dir, serve::JournalPolicy::kAsync));
-  EXPECT_EQ(pure.recovery_info().checkpoint_seqno, 0u);
-  EXPECT_EQ(pure.recovery_fingerprint(), fp);
+    // Route 2: the same wal.log alone, no checkpoint -- full replay.
+    std::error_code ec;
+    std::filesystem::copy_file(
+        serve::journal_path(ga.dir), serve::journal_path(gb.dir),
+        std::filesystem::copy_options::overwrite_existing, ec);
+    ASSERT_FALSE(ec);
+    serve::MatchService pure(cfg_for(gb.dir, 0));
+    EXPECT_EQ(pure.recovery_info().checkpoint_seqno, 0u);
+    EXPECT_EQ(pure.recovery_fingerprint(), fp);
+  }
 }
 
 TEST(ServiceRecovery, TornJournalTailHealsAndRecoversThePrefix) {
@@ -445,117 +599,11 @@ TEST(ServiceRecovery, ShedPoliciesJournalOnlyCommittedOps) {
     EXPECT_EQ(recovered.recovery_info().epoch_mismatches, 0u);
     EXPECT_EQ(recovered.recovery_fingerprint(), fp_stop);
 
-    // ...and the recovered service still keeps PR 8 conservation on fresh
-    // traffic (counters restart at zero; the invariant must hold anew).
-    recovered.start();
-    std::vector<std::uint64_t> t2;
-    for (std::size_t i = 0; i < 2'000; ++i) {
-      VertexId a = static_cast<VertexId>(hash64(77, i) % 700);
-      VertexId b = static_cast<VertexId>(hash64(78, i) % 700);
-      if (a == b) b = (b + 1) % 700;
-      VertexId vs[2] = {a, b};
-      t2.push_back(recovered.submit_insert(
-          std::span<const VertexId>(vs, 2),
-          static_cast<std::uint8_t>(i % 4)));
-    }
-    recovered.drain_until_idle();
-    recovered.stop();
-    std::uint64_t off2 = 0, com2 = 0, shed2 = 0;
-    for (std::size_t l = 0; l < 4; ++l) {
-      auto lr = recovered.lane_report(l);
-      off2 += lr.offered;
-      com2 += lr.committed;
-      shed2 += lr.shed_reject + lr.shed_evict + lr.shed_stale;
-    }
-    EXPECT_EQ(off2, com2 + shed2) << "post-recovery conservation";
+    // ...and the recovered service still keeps shed conservation, per
+    // lane, on fresh traffic (counters restart at zero; the invariant must
+    // hold anew).
+    expect_post_recovery_conservation(recovered, 2'000, 700, 77);
   }
-}
-
-// Sharded service recovery (ISSUE 15): the journal carries window
-// contents, not matcher internals, so the SAME log must replay
-// bit-identically through the ownership protocol at any shard count --
-// and the recovered sharded service must keep PR 8's per-lane shed
-// conservation on fresh traffic, exactly like the single-matcher one.
-TEST(ServiceRecovery, ShardedServiceReplaysAndKeepsShedConservation) {
-  DirGuard g(temp_dir("svc_shard"));
-  gen::Workload w = gen::churn(gen::erdos_renyi(700, 2'800, 13), 1, 0.5, 31);
-  auto stream = gen::flatten(w);
-
-  serve::ServiceConfig cfg = pinned_cfg(g.dir, serve::JournalPolicy::kCommit,
-                                        /*ckpt_every=*/4);
-  cfg.shards = 4;
-  cfg.admission.lanes = 4;
-  std::uint64_t fp_stop = 0;
-  {
-    shard::ShardedMatchService svc(cfg);
-    svc.start();
-    std::vector<std::uint64_t> ticket(w.master.size(), 0);
-    for (const gen::Update& u : stream) {
-      std::uint8_t lane = static_cast<std::uint8_t>(u.edge % 4);
-      if (u.is_insert)
-        ticket[u.edge] = svc.submit_insert(w.master.edge(u.edge), lane);
-      else
-        svc.submit_delete(ticket[u.edge], lane);
-    }
-    svc.stop();
-    fp_stop = svc.recovery_fingerprint();
-    ASSERT_TRUE(svc.matcher().check_consistent());
-  }
-
-  // Checkpoint + suffix route.
-  shard::ShardedMatchService recovered(cfg);
-  EXPECT_TRUE(recovered.recovery_info().ran);
-  EXPECT_FALSE(recovered.recovery_info().import_failed);
-  EXPECT_EQ(recovered.recovery_info().epoch_mismatches, 0u);
-  EXPECT_GT(recovered.recovery_info().checkpoint_seqno, 0u)
-      << "no checkpoint taken; the import path went unexercised";
-  EXPECT_EQ(recovered.recovery_fingerprint(), fp_stop);
-  EXPECT_TRUE(recovered.matcher().check_consistent());
-
-  // Pure-replay route on a copy of the log, no checkpoint.
-  {
-    DirGuard gp(temp_dir("svc_shard_pure"));
-    std::error_code ec;
-    std::filesystem::copy_file(
-        serve::journal_path(g.dir), serve::journal_path(gp.dir),
-        std::filesystem::copy_options::overwrite_existing, ec);
-    ASSERT_FALSE(ec);
-    serve::ServiceConfig pcfg =
-        pinned_cfg(gp.dir, serve::JournalPolicy::kCommit);
-    pcfg.shards = 4;
-    pcfg.admission.lanes = 4;
-    shard::ShardedMatchService pure(pcfg);
-    EXPECT_EQ(pure.recovery_info().checkpoint_seqno, 0u);
-    EXPECT_EQ(pure.recovery_fingerprint(), fp_stop);
-  }
-
-  // PR 8 conservation on the recovered service's fresh traffic: per-lane
-  // offered == committed + shed_reject + shed_evict + shed_stale.
-  recovered.start();
-  // 2048 = 32 full pinned windows: drain_until_idle never waits on a
-  // partial window the pinned partition would hold back until stop().
-  for (std::size_t i = 0; i < 2'048; ++i) {
-    VertexId a = static_cast<VertexId>(hash64(81, i) % 700);
-    VertexId b = static_cast<VertexId>(hash64(82, i) % 700);
-    if (a == b) b = (b + 1) % 700;
-    VertexId vs[2] = {a, b};
-    recovered.submit_insert(std::span<const VertexId>(vs, 2),
-                            static_cast<std::uint8_t>(i % 4));
-  }
-  recovered.drain_until_idle();
-  recovered.stop();
-  std::uint64_t off = 0, com = 0, shed = 0;
-  for (std::size_t l = 0; l < 4; ++l) {
-    auto lr = recovered.lane_report(l);
-    off += lr.offered;
-    com += lr.committed;
-    shed += lr.shed_reject + lr.shed_evict + lr.shed_stale;
-    EXPECT_EQ(lr.offered, lr.committed + lr.shed_reject + lr.shed_evict +
-                              lr.shed_stale)
-        << "lane " << l << " post-recovery conservation";
-  }
-  EXPECT_EQ(off, com + shed);
-  EXPECT_TRUE(recovered.matcher().check_consistent());
 }
 
 #if defined(PARMATCH_FAULT_INJECT)
@@ -566,17 +614,28 @@ constexpr std::size_t kCrashBatch = 16;
 constexpr std::size_t kCrashUpdates = 600;
 constexpr VertexId kCrashN = 512;
 
+// Four priority lanes, so the recovered service's post-recovery traffic
+// exercises per-lane conservation. The crash stream itself rides lane 0
+// only: with several active lanes, window composition depends on lane-drain
+// interleaving (run-vs-run identity is NOT claimed there -- see
+// ShedPoliciesJournalOnlyCommittedOps), and the crash test compares against
+// a separately-run uncrashed reference.
+serve::ServiceConfig crash_cfg(const std::string& dir,
+                               serve::JournalPolicy policy) {
+  serve::ServiceConfig cfg = pinned_cfg(dir, policy, /*ckpt_every=*/8);
+  cfg.matcher.seed = 7;
+  cfg.max_vertices = kCrashN;
+  cfg.former.max_batch = kCrashBatch;
+  cfg.admission.lanes = 4;
+  return cfg;
+}
+
 // Insert-only pinned-partition stream: journal seqno S covers exactly the
 // first S*kCrashBatch submits, so the parent can reproduce the journaled
 // prefix uncrashed.
 void crash_child_body(const std::string& dir) {
   graph::EdgeBatch edges = gen::erdos_renyi(kCrashN, 2'000, 99);
-  serve::ServiceConfig cfg = pinned_cfg(dir, serve::JournalPolicy::kCommit,
-                                        /*ckpt_every=*/8);
-  cfg.matcher.seed = 7;
-  cfg.max_vertices = kCrashN;
-  cfg.former.max_batch = kCrashBatch;
-  serve::MatchService svc(cfg);
+  serve::MatchService svc(crash_cfg(dir, serve::JournalPolicy::kCommit));
   svc.start();
   for (std::size_t i = 0; i < kCrashUpdates; ++i)
     svc.submit_insert(edges.edge(i % edges.size()));
@@ -652,12 +711,8 @@ TEST(RecoveryCrash, BitIdenticalAfterEveryInjectedCrashPoint) {
 
     // Recover.
     graph::EdgeBatch edges = gen::erdos_renyi(kCrashN, 2'000, 99);
-    serve::ServiceConfig cfg = pinned_cfg(
-        g.dir, serve::JournalPolicy::kCommit, /*ckpt_every=*/8);
-    cfg.matcher.seed = 7;
-    cfg.max_vertices = kCrashN;
-    cfg.former.max_batch = kCrashBatch;
-    serve::MatchService recovered(cfg);
+    serve::MatchService recovered(
+        crash_cfg(g.dir, serve::JournalPolicy::kCommit));
     const auto& info = recovered.recovery_info();
     EXPECT_TRUE(info.ran);
     EXPECT_FALSE(info.import_failed);
@@ -671,12 +726,7 @@ TEST(RecoveryCrash, BitIdenticalAfterEveryInjectedCrashPoint) {
     ASSERT_GT(last_seq, 0u);
     std::size_t prefix = static_cast<std::size_t>(last_seq) * kCrashBatch;
     ASSERT_LE(prefix, kCrashUpdates);
-    serve::ServiceConfig ref_cfg =
-        pinned_cfg("", serve::JournalPolicy::kOff);
-    ref_cfg.matcher.seed = 7;
-    ref_cfg.max_vertices = kCrashN;
-    ref_cfg.former.max_batch = kCrashBatch;
-    serve::MatchService reference(ref_cfg);
+    serve::MatchService reference(crash_cfg("", serve::JournalPolicy::kOff));
     reference.start();
     for (std::size_t i = 0; i < prefix; ++i)
       reference.submit_insert(edges.edge(i % edges.size()));
@@ -684,135 +734,11 @@ TEST(RecoveryCrash, BitIdenticalAfterEveryInjectedCrashPoint) {
     EXPECT_EQ(recovered.recovery_fingerprint(),
               reference.recovery_fingerprint())
         << "recovered state diverges from the uncrashed run";
-  }
-}
 
-// ---- sharded crash arm (ISSUE 15) ----------------------------------------
-// The same SIGKILL crash points, but the dying AND recovering service run
-// the 4-shard ownership protocol: recovery must land bit-identical to an
-// uncrashed sharded run of the journaled prefix, and PR 8 shed
-// conservation must hold on the recovered service's fresh traffic.
-
-serve::ServiceConfig sharded_crash_cfg(const std::string& dir) {
-  serve::ServiceConfig cfg =
-      pinned_cfg(dir, serve::JournalPolicy::kCommit, /*ckpt_every=*/8);
-  cfg.matcher.seed = 7;
-  cfg.max_vertices = kCrashN;
-  cfg.former.max_batch = kCrashBatch;
-  cfg.shards = 4;
-  cfg.admission.lanes = 4;
-  return cfg;
-}
-
-// The crash stream rides lane 0 only: with several active lanes, window
-// composition depends on lane-drain interleaving (run-vs-run identity is
-// NOT claimed there -- see ShedPoliciesJournalOnlyCommittedOps), and this
-// arm compares against a separately-run uncrashed reference. The
-// multi-lane conservation identity is checked on post-recovery traffic,
-// where no run-vs-run claim is needed.
-void sharded_crash_child_body(const std::string& dir) {
-  graph::EdgeBatch edges = gen::erdos_renyi(kCrashN, 2'000, 99);
-  shard::ShardedMatchService svc(sharded_crash_cfg(dir));
-  svc.start();
-  for (std::size_t i = 0; i < kCrashUpdates; ++i)
-    svc.submit_insert(edges.edge(i % edges.size()));
-  svc.stop();  // unreachable when a crash knob is armed
-}
-
-TEST(RecoveryCrash, ShardedChild) {
-  const char* dir = std::getenv("PARMATCH_RECOVERY_SHARD_DIR");
-  if (dir == nullptr) GTEST_SKIP();
-  sharded_crash_child_body(dir);
-}
-
-int run_sharded_crash_child(const std::string& dir,
-                            const std::string& fi_env) {
-  std::string self = self_path();
-  if (self.empty()) return -1;
-  std::string cmd = fi_env + " PARMATCH_RECOVERY_SHARD_DIR=" + dir + " '" +
-                    self + "' --gtest_filter=RecoveryCrash.ShardedChild " +
-                    ">/dev/null 2>&1";
-  FILE* p = popen(cmd.c_str(), "r");
-  if (!p) return -1;
-  char buf[128];
-  while (std::fgets(buf, sizeof buf, p)) {
-  }
-  return pclose(p);
-}
-
-TEST(RecoveryCrash, ShardedServiceRecoversBitIdenticallyAndConserves) {
-  if (std::getenv("PARMATCH_RECOVERY_CHILD_DIR") != nullptr ||
-      std::getenv("PARMATCH_RECOVERY_SHARD_DIR") != nullptr)
-    GTEST_SKIP();
-#ifndef __linux__
-  GTEST_SKIP() << "re-exec via /proc/self/exe is linux-only";
-#endif
-  const CrashScenario scenarios[] = {
-      {"shard_mid_window", "PARMATCH_FI_CRASH_AT=3", false},
-      {"shard_post_ckpt", "PARMATCH_FI_CRASH_AT=13", false},
-      {"shard_torn_tail", "PARMATCH_FI_CRASH_AT=5 PARMATCH_FI_TORN_TAIL=11",
-       true},
-  };
-  for (const CrashScenario& sc : scenarios) {
-    SCOPED_TRACE(sc.name);
-    DirGuard g(temp_dir((std::string("crash_") + sc.name).c_str()));
-    int status = run_sharded_crash_child(g.dir, sc.fi_env);
-    ASSERT_NE(status, -1);
-    bool killed = (WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL) ||
-                  (WIFEXITED(status) && WEXITSTATUS(status) == 128 + SIGKILL);
-    ASSERT_TRUE(killed) << "sharded child exited cleanly instead of "
-                        << "crashing; raw wait status " << status;
-
-    shard::ShardedMatchService recovered(sharded_crash_cfg(g.dir));
-    const auto& info = recovered.recovery_info();
-    EXPECT_TRUE(info.ran);
-    EXPECT_FALSE(info.import_failed);
-    EXPECT_EQ(info.epoch_mismatches, 0u);
-    if (sc.expect_truncation)
-      EXPECT_GT(recovered.journal().truncated_bytes(), 0u);
-    EXPECT_TRUE(recovered.matcher().check_consistent());
-
-    // Uncrashed sharded reference over exactly the journaled prefix.
-    std::uint64_t last_seq = info.checkpoint_seqno + info.replayed_windows;
-    ASSERT_GT(last_seq, 0u);
-    std::size_t prefix = static_cast<std::size_t>(last_seq) * kCrashBatch;
-    ASSERT_LE(prefix, kCrashUpdates);
-    graph::EdgeBatch edges = gen::erdos_renyi(kCrashN, 2'000, 99);
-    serve::ServiceConfig ref_cfg = sharded_crash_cfg("");
-    ref_cfg.journal.policy = serve::JournalPolicy::kOff;
-    shard::ShardedMatchService reference(ref_cfg);
-    reference.start();
-    for (std::size_t i = 0; i < prefix; ++i)
-      reference.submit_insert(edges.edge(i % edges.size()));
-    reference.stop();
-    EXPECT_EQ(recovered.recovery_fingerprint(),
-              reference.recovery_fingerprint())
-        << "recovered sharded state diverges from the uncrashed run";
-
-    // PR 8 conservation identity on fresh post-recovery traffic.
-    recovered.start();
-    for (std::size_t i = 0; i < 32 * kCrashBatch; ++i) {
-      VertexId a = static_cast<VertexId>(hash64(91, i) % kCrashN);
-      VertexId b = static_cast<VertexId>(hash64(92, i) % kCrashN);
-      if (a == b) b = (b + 1) % kCrashN;
-      VertexId vs[2] = {a, b};
-      recovered.submit_insert(std::span<const VertexId>(vs, 2),
-                              static_cast<std::uint8_t>(i % 4));
-    }
-    recovered.drain_until_idle();
-    recovered.stop();
-    std::uint64_t off = 0, com = 0, shed = 0;
-    for (std::size_t l = 0; l < 4; ++l) {
-      auto lr = recovered.lane_report(l);
-      off += lr.offered;
-      com += lr.committed;
-      shed += lr.shed_reject + lr.shed_evict + lr.shed_stale;
-      EXPECT_EQ(lr.offered, lr.committed + lr.shed_reject + lr.shed_evict +
-                                lr.shed_stale)
-          << "lane " << l << " post-recovery conservation";
-    }
-    EXPECT_EQ(off, com + shed);
-    EXPECT_TRUE(recovered.matcher().check_consistent());
+    // 32 full windows: drain_until_idle never waits on a partial window
+    // the pinned partition would hold back until stop().
+    expect_post_recovery_conservation(recovered, 32 * kCrashBatch, kCrashN,
+                                      91);
   }
 }
 

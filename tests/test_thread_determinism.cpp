@@ -7,9 +7,9 @@
 // PARMATCH_NUM_THREADS=1, 2, and hardware concurrency, crossed with
 // PARMATCH_EXEC_MODE=adaptive/sequential/parallel and a mid-range pinned
 // PARMATCH_CUTOVER (which makes adaptive mode mix both strategies inside
-// single batches). The reservation-engine knobs (PARMATCH_SPEC_GRAIN,
-// PARMATCH_STEAL_FIXPOINT) each pin their own reference trajectory and the
-// whole grid must agree within each setting.
+// single batches). The reservation-engine grain knob (PARMATCH_SPEC_GRAIN)
+// pins its own reference trajectory and the whole grid must agree within
+// each setting.
 //
 // The worker count is frozen at first scheduler use, so one process cannot
 // observe two counts: the parent test re-executes this binary (filtered to
@@ -30,7 +30,6 @@
 #include "gen/generators.h"
 #include "gen/workloads.h"
 #include "serve/service.h"
-#include "shard/sharded_service.h"
 #include "util/rng.h"
 
 using namespace parmatch;
@@ -120,87 +119,10 @@ void print_serve_fingerprint(const Scenario& s) {
               static_cast<unsigned long long>(h));
 }
 
-// Sharded-matcher fingerprint: the shard count comes from PARMATCH_SHARDS
-// (shard::Config::from_env), so the SAME child binary covers every S row
-// of the grid. Level-3 determinism demands these lines be identical across
-// thread counts, exec modes, AND shard counts.
-void print_shard_fingerprints(const Scenario& s) {
-  auto w = gen::churn(gen::erdos_renyi(500, 2'000, 17), 96, s.p_insert, 23);
-  shard::Config cfg = shard::Config::from_env();
-  cfg.base.seed = 5;
-  shard::ShardedMatcher sm(cfg);
-  std::vector<EdgeId> live(w.master.size(), kInvalidEdge);
-  std::size_t step_no = 0;
-  for (const auto& step : w.steps) {
-    if (step.is_insert) {
-      graph::EdgeBatch chunk;
-      for (std::size_t i : step.edges) chunk.add(w.master.edge(i));
-      auto ids = sm.insert_edges(chunk);
-      for (std::size_t j = 0; j < ids.size(); ++j)
-        live[step.edges[j]] = ids[j];
-    } else {
-      std::vector<EdgeId> ids;
-      for (std::size_t i : step.edges) ids.push_back(live[i]);
-      sm.delete_edges(ids);
-    }
-    std::uint64_t h = 0;
-    for (EdgeId e : sm.matching()) h = hash64(h, e);
-    h = hash64(h, sm.settle_epochs());
-    h = hash64(h, sm.insert_epochs());
-    std::printf("FP shard_%s %zu %llu\n", s.name, step_no,
-                static_cast<unsigned long long>(h));
-    ++step_no;
-  }
-}
-
-// Sharded SERVICE fingerprint: same pinned window partition as the plain
-// serve fingerprint, but through ShardedMatchService -- the full pipeline
-// (former/matcher/publisher, admission, journal surface) on top of the
-// ownership protocol must serve a bit-identical trajectory at every S.
-void print_shard_serve_fingerprint(const Scenario& s) {
-  auto w = scenario_workload(s);
-  auto stream = gen::flatten(w);
-  serve::ServiceConfig cfg = serve::ServiceConfig::from_env();
-  cfg.matcher.seed = 5;
-  cfg.max_vertices = 700;
-  cfg.record_latencies = false;
-  cfg.former.max_batch = 64;
-  cfg.former.cost_flush = 1u << 20;
-  cfg.former.max_delay_us = 1u << 30;
-  shard::ShardedMatchService svc(cfg);
-  svc.start();
-  constexpr std::uint64_t kNoTicket = ~0ull;
-  std::vector<std::uint64_t> ticket(w.master.size(), kNoTicket);
-  for (const gen::Update& u : stream) {
-    if (u.is_insert)
-      ticket[u.edge] = svc.submit_insert(w.master.edge(u.edge));
-    else
-      svc.submit_delete(ticket[u.edge]);
-  }
-  svc.stop();
-  std::uint64_t h = 0;
-  for (EdgeId e : svc.matcher().matching()) h = hash64(h, e);
-  for (graph::VertexId v = 0; v < 700; ++v) h = hash64(h, svc.match_of(v));
-  h = hash64(h, svc.matched_count());
-  h = hash64(h, svc.stats().batches);
-  h = hash64(h, svc.stats().applied_inserts);
-  h = hash64(h, svc.stats().applied_deletes);
-  std::printf("FP shard_serve_%s 0 %llu\n", s.name,
-              static_cast<unsigned long long>(h));
-}
-
 // Child mode: emits fingerprint lines when spawned by the parent test; a
 // plain `ctest` run (env unset) passes through trivially.
-// PARMATCH_DET_SHARD=1 selects the sharded rows only, so the (larger)
-// plain-matcher knob grid doesn't pay for shard fingerprints and vice
-// versa.
 TEST(ThreadDeterminism, Child) {
   if (std::getenv("PARMATCH_DET_CHILD") == nullptr) GTEST_SKIP();
-  if (std::getenv("PARMATCH_DET_SHARD") != nullptr) {
-    for (const Scenario& s : kScenarios) print_shard_fingerprints(s);
-    for (const Scenario& s : kScenarios) print_shard_serve_fingerprint(s);
-    return;
-  }
   for (const Scenario& s : kScenarios) print_fingerprints(s);
   for (const Scenario& s : kScenarios) print_serve_fingerprint(s);
 }
@@ -258,15 +180,13 @@ TEST(ThreadDeterminism, MatchingIdenticalAcrossThreadCountsAndExecModes) {
       "PARMATCH_EXEC_MODE=adaptive PARMATCH_PIPELINE=0",
       "PARMATCH_EXEC_MODE=parallel PARMATCH_PIPELINE=0",
   };
-  // Reservation-engine knobs (ISSUE 7): each setting defines its OWN
-  // trajectory (grain shapes the round-keyed draws; the fixpoint toggle is
-  // an algorithm switch), so each gets its own reference, compared across
-  // the full threads x exec-mode grid. The env string is prepended verbatim
-  // to every child invocation of its grid.
+  // Reservation-engine grain: each setting defines its OWN trajectory
+  // (grain shapes the round-keyed draws), so each gets its own reference,
+  // compared across the full threads x exec-mode grid. The env string is
+  // prepended verbatim to every child invocation of its grid.
   const std::vector<std::string> knobs{
       "",
       "PARMATCH_SPEC_GRAIN=4",
-      "PARMATCH_STEAL_FIXPOINT=0",
   };
   for (const std::string& knob : knobs) {
     auto with_knob = [&](const std::string& mode) {
@@ -287,50 +207,6 @@ TEST(ThreadDeterminism, MatchingIdenticalAcrossThreadCountsAndExecModes) {
           EXPECT_EQ(got[i], reference[i])
               << "first divergence at line " << i << " for threads=" << threads
               << " " << with_knob(mode);
-      }
-    }
-  }
-}
-
-// The ISSUE-15 shard rows: threads x exec modes x PARMATCH_SHARDS in
-// {1, 2, 4}. ONE reference trajectory (S=1, one thread, adaptive) -- every
-// other cell must match it line for line, which is the level-3 contract:
-// the final matching is bit-identical across thread counts AND shard
-// counts, and so is the served trajectory for a fixed window partition.
-TEST(ThreadDeterminism, ShardCountRowsAgree) {
-  if (std::getenv("PARMATCH_DET_CHILD") != nullptr) GTEST_SKIP();
-#ifndef __linux__
-  GTEST_SKIP() << "re-exec via /proc/self/exe is linux-only";
-#endif
-  unsigned hw = std::thread::hardware_concurrency();
-  std::vector<int> counts{1, 2};
-  if (hw > 2) counts.push_back(static_cast<int>(hw));
-  const std::vector<std::string> modes{
-      "PARMATCH_EXEC_MODE=adaptive",
-      "PARMATCH_EXEC_MODE=sequential",
-      "PARMATCH_EXEC_MODE=parallel",
-  };
-  const std::vector<int> shard_counts{1, 2, 4};
-  auto cell_env = [](int shards, const std::string& mode) {
-    return "PARMATCH_DET_SHARD=1 PARMATCH_SHARDS=" + std::to_string(shards) +
-           " " + mode;
-  };
-  auto reference = run_child(counts[0], cell_env(shard_counts[0], modes[0]));
-  ASSERT_FALSE(reference.empty()) << "shard child produced no fingerprints";
-  ASSERT_GT(reference.size(), 50u);
-  for (int shards : shard_counts) {
-    for (int threads : counts) {
-      for (const std::string& mode : modes) {
-        if (shards == shard_counts[0] && threads == counts[0] &&
-            mode == modes[0])
-          continue;
-        auto got = run_child(threads, cell_env(shards, mode));
-        ASSERT_EQ(got.size(), reference.size())
-            << "S=" << shards << " threads=" << threads << " " << mode;
-        for (std::size_t i = 0; i < reference.size(); ++i)
-          EXPECT_EQ(got[i], reference[i])
-              << "first divergence at line " << i << " for S=" << shards
-              << " threads=" << threads << " " << mode;
       }
     }
   }
