@@ -57,11 +57,10 @@ struct RowResult {
 RowResult run_stream(const gen::Workload& w,
                      const std::vector<gen::Update>& stream,
                      const std::vector<std::uint64_t>& arrivals,
-                     std::size_t warm, std::uint64_t seed, bool pipeline) {
+                     std::size_t warm, std::uint64_t seed) {
   serve::ServiceConfig cfg = serve::ServiceConfig::from_env();
   cfg.matcher.seed = seed;
   cfg.max_vertices = kN;
-  cfg.pipeline = pipeline;
   serve::MatchService svc(cfg);
   svc.start();
 
@@ -130,26 +129,12 @@ const char* model_name(gen::ArrivalModel m) {
 int main(int argc, char** argv) {
   std::uint64_t seed = bench_init(argc, argv, "e12");
   std::size_t only_rate = 0;
-  // --pipeline=on|off|both (default both): A/B the three-stage pipelined
-  // drain against the serial drain, as a per-row "pipeline" column.
-  const char* pipe_arg = "both";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--rate") == 0 && i + 1 < argc)
       only_rate = std::strtoull(argv[i + 1], nullptr, 10);
     else if (std::strncmp(argv[i], "--rate=", 7) == 0)
       only_rate = std::strtoull(argv[i] + 7, nullptr, 10);
-    else if (std::strcmp(argv[i], "--pipeline") == 0 && i + 1 < argc)
-      pipe_arg = argv[i + 1];
-    else if (std::strncmp(argv[i], "--pipeline=", 11) == 0)
-      pipe_arg = argv[i] + 11;
   }
-  std::vector<bool> pipeline_modes;
-  if (std::strcmp(pipe_arg, "on") == 0)
-    pipeline_modes = {true};
-  else if (std::strcmp(pipe_arg, "off") == 0)
-    pipeline_modes = {false};
-  else
-    pipeline_modes = {true, false};
 
   const std::vector<std::size_t> rates =
       only_rate ? std::vector<std::size_t>{only_rate}
@@ -183,23 +168,22 @@ int main(int argc, char** argv) {
   std::vector<gen::Update> stream = gen::flatten(w);
   std::size_t warm = stream.size() / 3;
 
-  Table table({"arrival", "rate", "pipeline", "updates", "ach_in",
-               "ach_commit", "p50_us", "p99_us", "batch_mean", "batch_max",
-               "q_hwm", "mem_bytes"});
+  Table table({"arrival", "rate", "updates", "ach_in", "ach_commit",
+               "p50_us", "p99_us", "batch_mean", "batch_max", "q_hwm",
+               "mem_bytes"});
   // Run-wide fault-injection and histogram-clipping accounting, noted at
   // the json top level (and printed) so a CI FI smoke can assert injection
   // actually FIRED and a clipped p99 is never silently trusted.
   std::uint64_t fi_fired_total = 0, overflow_total = 0;
-  auto emit = [&](const char* arrival, std::size_t rate, bool pipeline,
+  auto emit = [&](const char* arrival, std::size_t rate,
                   const RowResult& r) {
     fi_fired_total += r.fi_fired;
     overflow_total += r.hist_overflow;
-    table.row({arrival, Table::num(rate), pipeline ? "on" : "off",
-               Table::num(r.updates), Table::num(r.achieved_in, 0),
-               Table::num(r.achieved_commit, 0), Table::num(r.p50_us),
-               Table::num(r.p99_us), Table::num(r.batch_mean, 1),
-               Table::num(r.batch_max), Table::num(r.queue_hwm),
-               Table::num(r.mem_bytes)});
+    table.row({arrival, Table::num(rate), Table::num(r.updates),
+               Table::num(r.achieved_in, 0), Table::num(r.achieved_commit, 0),
+               Table::num(r.p50_us), Table::num(r.p99_us),
+               Table::num(r.batch_mean, 1), Table::num(r.batch_max),
+               Table::num(r.queue_hwm), Table::num(r.mem_bytes)});
   };
 
   for (gen::ArrivalModel model :
@@ -207,18 +191,13 @@ int main(int argc, char** argv) {
     for (std::size_t rate : rates) {
       auto arrivals = gen::arrival_times_ns(
           stream.size() - warm, static_cast<double>(rate), model, seed + 13);
-      for (bool pipe : pipeline_modes) {
-        RowResult r = run_stream(w, stream, arrivals, warm, seed, pipe);
-        emit(model_name(model), rate, pipe, r);
-      }
+      emit(model_name(model), rate,
+           run_stream(w, stream, arrivals, warm, seed));
     }
   }
   // Saturation: no pacing; the producer and the drain pipeline run flat
   // out. achieved_commit is the front-end's max sustainable throughput.
-  for (bool pipe : pipeline_modes) {
-    RowResult sat = run_stream(w, stream, {}, warm, seed, pipe);
-    emit("unpaced", 0, pipe, sat);
-  }
+  emit("unpaced", 0, run_stream(w, stream, {}, warm, seed));
   JsonSink::instance().note("fi_fired_total", std::to_string(fi_fired_total));
   JsonSink::instance().note("latency_overflow_total",
                             std::to_string(overflow_total));

@@ -167,7 +167,7 @@ inline PushResult push_with_backoff(Ring& q, const T& item,
 
 // Per-lane bounded rings + shed policy + weighted drain + exact per-lane
 // admission counters. Producers call admit() from any thread; exactly one
-// consumer (the former stage / serial drain) calls try_pop().
+// consumer (MatchService's former stage) calls try_pop().
 class AdmissionQueue {
  public:
   AdmissionQueue(const AdmissionConfig& cfg, std::size_t default_capacity,

@@ -30,8 +30,7 @@
 // barrier under commit, MatchService's background syncer under async --
 // plus the stop path's sync_all after every worker joined. POSIX
 // write/fdatasync on one fd are thread-safe; the appended/durable
-// watermarks are atomics. In the serial drain append and commit-barrier
-// run on the same thread and the contract degenerates safely.
+// watermarks are atomics.
 //
 // Record payload, little-endian u64 words (framed + checksummed by
 // util/io/record_log.h):

@@ -3,26 +3,25 @@
 // insert/delete requests from many producer threads into the batches the
 // batch-dynamic structure consumes.
 //
-// Two drain topologies, same external contract:
+// The drain is a three-stage pipeline:
 //
-//   pipeline (default):
-//     producers --> AdmissionQueue (priority-lane MPSC rings + shed policy)
-//       --> FORMER thread:   pop + window + conflict resolution
-//       --> MATCHER thread:  insert_edges / delete_edges, ticket table,
-//                            capture the touched-vertex snapshot values
-//       --> PUBLISHER thread: epoch-seqlock snapshot publish, stats,
-//                             completion accounting
-//     Adjacent stages hand off Window records over SPSC rings
-//     (update_queue.h); a small fixed pool of Windows recycles through
-//     free -> apply -> publish -> free, so the steady state allocates
-//     nothing and the former can run at most kWindows windows ahead of
-//     the matcher (internal backpressure). Window N+1 forms while window
-//     N applies and window N-1 publishes -- the matcher thread, the only
-//     stage running fork/join phases, stops paying form and publish time
-//     between batches. PARMATCH_PIPELINE=0 (or pipeline=false) selects:
+//   producers --> AdmissionQueue (priority-lane MPSC rings + shed policy)
+//     --> FORMER thread:   pop + window + conflict resolution
+//     --> MATCHER thread:  insert_edges / delete_edges, ticket table,
+//                          capture the touched-vertex snapshot values
+//     --> PUBLISHER thread: epoch-seqlock snapshot publish, stats,
+//                           completion accounting
 //
-//   serial (PR 5 drain): one thread runs the same three stages in
-//     sequence per window, through the SAME apply/publish code.
+// Adjacent stages hand off Window records over SPSC rings
+// (update_queue.h); a small fixed pool of Windows recycles through
+// free -> apply -> publish -> free, so the steady state allocates nothing
+// and the former can run at most kWindows windows ahead of the matcher
+// (internal backpressure). Window N+1 forms while window N applies and
+// window N-1 publishes -- the matcher thread, the only stage running
+// fork/join phases, stops paying form and publish time between batches.
+// Construction-time recovery replays the journal through the matcher
+// stage's own apply body (apply_batch), so live apply and replay cannot
+// drift apart.
 //
 // Producer API: submit_insert returns a TICKET immediately (the edge id is
 // not known until the batch applies); submit_delete revokes a ticket. A
@@ -37,27 +36,29 @@
 // service-owned array of atomics, safe to call from any thread at any
 // time. Only the vertices a batch touched are republished (the matcher
 // reports them through its delta sink -- O(batch), not O(V)) under an
-// epoch seqlock: epoch goes odd -> cells -> even. In the pipeline the
-// matcher stage CAPTURES each touched vertex's post-batch value into the
-// Window while it still owns the structure, and the publisher writes those
-// captured values -- it never reads live matcher state, so publish for
-// window N-1 cannot race the apply of window N. Single-word reads need no
-// protocol (each cell is one atomic word); a multi-word consistent view
-// uses read_consistent(), which retries while the epoch is odd or moved.
+// epoch seqlock: epoch goes odd -> cells -> even. The matcher stage
+// CAPTURES each touched vertex's post-batch value into the Window while
+// it still owns the structure, and the publisher writes those captured
+// values -- it never reads live matcher state, so publish for window N-1
+// cannot race the apply of window N. Single-word reads need no protocol
+// (each cell is one atomic word); a multi-word consistent view uses
+// read_consistent(), which retries while the epoch is odd or moved.
 // Every access is an atomic on both sides, so the protocol is TSan-clean
 // by construction, not by suppression.
 //
 // Shutdown: stop() drains the queue and the window, then flows a sentinel
 // Window through the stages so each exits after its last real window;
-// every submitted update is applied exactly once. drain_until_idle() is
-// the test/bench barrier (submitted == completed, bumped by the LAST
-// stage, so completion still implies snapshot visibility).
+// every submitted update is applied exactly once, and a stopped service
+// may start() again. drain_until_idle() is the test/bench barrier
+// (submitted == completed, bumped by the LAST stage, so completion still
+// implies snapshot visibility).
 //
 // Determinism contract (DESIGN.md S2/S12): windows flow former -> matcher
 // -> publisher strictly FIFO and exactly one thread mutates the matcher,
-// so for a FIXED partition of the stream into windows the pipelined and
-// serial drains are bit-identical (tests pin the partition by flushing on
-// max_batch only). Under timing-dependent flushes the partition itself
+// so for a FIXED partition of the stream into windows the service is
+// bit-identical to applying those windows directly to a DynamicMatcher
+// (tests pin the partition by flushing on max_batch only and replay it on
+// the test thread). Under timing-dependent flushes the partition itself
 // may differ between runs -- then, as before, runs agree on the live
 // graph and validity/maximality, not bit-equal matchings.
 //
@@ -100,8 +101,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -146,10 +145,6 @@ struct ServiceConfig {
   // Bounded memory either way (fixed-size log buckets); off skips the
   // per-commit record() calls entirely -- used by the race-stress tests.
   bool record_latencies = true;
-  // Three-stage pipelined drain (default) vs the single-thread serial
-  // drain. Same results for a fixed window partition; PARMATCH_PIPELINE=0
-  // selects serial from the environment.
-  bool pipeline = true;
   // Durability layer (DESIGN.md S14): write-ahead batch journal +
   // periodic checkpoints (serve/journal.h, serve/checkpoint.h). The
   // default -- policy off -- is the pre-S14 service: no journal I/O, no
@@ -159,8 +154,6 @@ struct ServiceConfig {
     ServiceConfig c;
     c.former = FormerConfig::from_env();
     c.admission = AdmissionConfig::from_env();
-    if (const char* e = std::getenv("PARMATCH_PIPELINE"))
-      c.pipeline = !(std::strcmp(e, "0") == 0 || std::strcmp(e, "off") == 0);
     c.journal = JournalConfig::from_env();
     return c;
   }
@@ -253,13 +246,9 @@ class MatchService {
     if (running_) return;
     stop_.store(false, std::memory_order_release);
     running_ = true;
-    if (cfg_.pipeline) {
-      former_thread_ = std::thread([this] { former_loop(); });
-      matcher_thread_ = std::thread([this] { matcher_loop(); });
-      publisher_thread_ = std::thread([this] { publisher_loop(); });
-    } else {
-      former_thread_ = std::thread([this] { serial_drain_loop(); });
-    }
+    former_thread_ = std::thread([this] { former_loop(); });
+    matcher_thread_ = std::thread([this] { matcher_loop(); });
+    publisher_thread_ = std::thread([this] { publisher_loop(); });
     // Async durability: the timed group sync runs on its own thread so an
     // fdatasync never sits in any drain stage's critical path. Commit
     // policy needs no syncer -- the publisher's ensure_durable barrier
@@ -280,10 +269,8 @@ class MatchService {
       sync_cv_.notify_all();
     }
     former_thread_.join();
-    if (cfg_.pipeline) {
-      matcher_thread_.join();
-      publisher_thread_.join();
-    }
+    matcher_thread_.join();
+    publisher_thread_.join();
     if (syncer_thread_.joinable()) syncer_thread_.join();
     // Clean-shutdown barrier: every appended record becomes durable
     // regardless of policy (stage threads are joined, so the writer fd is
@@ -302,10 +289,10 @@ class MatchService {
   }
 
   // Clears the stats (prewarm separation in the benches). Blocks until the
-  // owning stage acknowledges (in the pipeline a reset MARKER flows
-  // through all three stages, so every window formed before the call is
-  // folded in before the clear); call only from outside the stage threads,
-  // ideally when idle.
+  // publisher acknowledges (a reset MARKER flows through all three
+  // stages, so every window formed before the call is folded in before
+  // the clear); call only from outside the stage threads, ideally when
+  // idle.
   // (Also re-zeroes the admission-side lane counters and the overload
   // tracking, so post-reset conservation starts from a clean slate.)
   void reset_stats() {
@@ -634,12 +621,14 @@ class MatchService {
   }
 
   // Stage 1: pop the MPSC ring, form windows, decide flushes. Owns
-  // former_ and the per-window bookkeeping samples. Exits by flowing a
-  // shutdown sentinel to the downstream stages.
+  // former_, popped_ and the per-window bookkeeping samples. Exits by
+  // flowing a shutdown sentinel to the downstream stages.
   void former_loop() {
     UpdateRequest r;
     std::size_t idle_spins = 0;
-    std::uint64_t popped = 0;
+    // Counted in a local and saved on exit: a member written on every pop
+    // would share its cache line with the producers' counters.
+    std::uint64_t popped = popped_;
     std::size_t hwm_accum = 0;
     std::uint64_t first_accum = 0;
     bool reset_sent = false;
@@ -718,6 +707,7 @@ class MatchService {
         // admitted_ back, so they can't wedge this wait.)
         if (stopping && former_.empty() &&
             popped == admitted_.load(std::memory_order_acquire)) {
+          popped_ = popped;
           Window* w = acquire_free_window();
           w->shutdown = true;
           w->reset_marker = false;
@@ -767,8 +757,9 @@ class MatchService {
   }
 
   // Stage 2: the only thread that mutates the matcher, the ticket table,
-  // and the delta buffer. Applies windows in FIFO order -- exactly the
-  // serial drain's apply sequence, hence the bit-identical contract.
+  // and the delta buffer. Applies windows in FIFO order, each through
+  // apply_batch -- the same sequence recovery replays, hence the
+  // bit-identical contract.
   void matcher_loop() {
     std::size_t spins = 0;
     for (;;) {
@@ -812,82 +803,7 @@ class MatchService {
     }
   }
 
-  // ---- serial drain (pipeline=false): same stages, one thread ----------
-
-  void serial_drain_loop() {
-    UpdateRequest r;
-    std::size_t idle_spins = 0;
-    Window& win = *pool_[0];
-    for (;;) {
-      std::size_t qs = queue_.approx_size();
-      if (qs > stats_.queue_hwm) stats_.queue_hwm = qs;
-      bool progressed = false;
-      std::uint64_t dummy_popped = 0;
-      std::uint64_t evict_shed = 0;
-      while (!former_.window_full() &&
-             queue_.try_pop(r, &dummy_popped, &evict_shed)) {
-        if (stats_.first_enqueue_ns == 0)
-          stats_.first_enqueue_ns = r.t_enqueue_ns;
-        former_.add(r);
-        progressed = true;
-      }
-      if (evict_shed != 0) {
-        completed_.fetch_add(evict_shed, std::memory_order_acq_rel);
-        progressed = true;
-      }
-
-      std::uint64_t now = now_ns();
-      bool stopping = stop_.load(std::memory_order_acquire);
-      FlushReason why = FlushReason::kDrain;
-      bool flush = former_.should_flush(now, &why);
-      if (!flush && stopping && !former_.empty() &&
-          queue_.approx_size() == 0) {
-        flush = true;
-        why = FlushReason::kDrain;
-      }
-      if (flush) {
-        former_.form(win.formed, now);
-        drained_stale_ += win.formed.shed_stale;
-        win.why = why;
-        win.queue_hwm_sample = 0;   // folded live above
-        win.first_enqueue_ns = 0;   // recorded live above
-        apply_formed(win);
-        publish_window(win);
-        progressed = true;
-      }
-      update_overload_state(qs, now);
-
-      if (reset_pending_.load(std::memory_order_acquire) &&
-          former_.empty()) {
-        stats_.clear();
-        reset_overload_tracking();
-        reset_pending_.store(false, std::memory_order_release);
-      }
-
-      if (!progressed) {
-        if (stopping && former_.empty() &&
-            completed_.load(std::memory_order_acquire) ==
-                submitted_.load(std::memory_order_acquire))
-          return;
-        if (former_.empty() && !stopping &&
-            ++idle_spins >= kIdleSpinsBeforePark) {
-          std::unique_lock<std::mutex> lk(park_mu_);
-          parked_.store(true, std::memory_order_seq_cst);
-          if (queue_.approx_size() == 0 &&
-              !stop_.load(std::memory_order_acquire) &&
-              !reset_pending_.load(std::memory_order_acquire))
-            park_cv_.wait_for(lk, std::chrono::milliseconds(10));
-          parked_.store(false, std::memory_order_seq_cst);
-        } else {
-          std::this_thread::yield();
-        }
-      } else {
-        idle_spins = 0;
-      }
-    }
-  }
-
-  // ---- overload state machine (drain-thread-driven) --------------------
+  // ---- overload state machine (former-driven) ---------------------------
 
   // Quiet period after the newest shed before kShedding decays. Long
   // enough that a sustained-overload run reads as one shedding episode,
@@ -895,7 +811,7 @@ class MatchService {
   // time after the burst ends.
   static constexpr std::uint64_t kSheddingHoldNs = 10'000'000;  // 10 ms
 
-  // Called once per drain-loop iteration by the single drain thread.
+  // Called once per former-loop iteration by the former thread.
   // occupancy is the backlog sample taken at the top of the iteration;
   // `now` the iteration's steady-clock instant.
   void update_overload_state(std::size_t occupancy, std::uint64_t now) {
@@ -925,36 +841,45 @@ class MatchService {
     last_shed_ns_ = 0;
   }
 
-  // ---- shared stage bodies ---------------------------------------------
+  // ---- stage bodies ----------------------------------------------------
 
-  // Matcher-stage body: apply one formed window to the structure, resolve
-  // delete tickets, and capture the touched-vertex snapshot values into
-  // the window. Caller is the single matcher-owning thread of its mode.
-  void apply_formed(Window& w) {
-    fi_.maybe_stall_drain();  // fault injection: simulate a lagging drain
+  // The one apply sequence, run by the matcher stage for every window and
+  // by recover() for every journal record: insert the batch and bind its
+  // tickets, then revoke the delete tickets and delete their edges. A
+  // delete whose ticket is dead or unknown is dropped, not applied; the
+  // return value counts those. delta_ collects the touched vertices.
+  std::size_t apply_batch(const graph::EdgeBatch& inserts,
+                          const std::vector<std::uint64_t>& insert_tickets,
+                          const std::vector<std::uint64_t>& delete_tickets) {
     delta_.clear();
-
-    if (!w.formed.inserts.empty()) {
-      auto ids = dm_.insert_edges(w.formed.inserts);
+    if (!inserts.empty()) {
+      auto ids = dm_.insert_edges(inserts);
       for (std::size_t i = 0; i < ids.size(); ++i)
-        tickets_.put(w.formed.insert_tickets[i], ids[i]);
+        tickets_.put(insert_tickets[i], ids[i]);
     }
-
     del_ids_.clear();
-    w.dropped_deletes = 0;
-    for (std::uint64_t t : w.formed.delete_tickets) {
+    std::size_t dropped = 0;
+    for (std::uint64_t t : delete_tickets) {
       EdgeId id = tickets_.take(t);
       if (id == graph::kInvalidEdge) {
-        ++w.dropped_deletes;
+        ++dropped;
         continue;
       }
       del_ids_.push_back(id);
     }
     if (!del_ids_.empty())
       dm_.delete_edges(std::span<const EdgeId>(del_ids_));
+    return dropped;
+  }
 
+  // Matcher-stage body: apply one formed window, capture the
+  // touched-vertex snapshot values into it, and journal it.
+  void apply_formed(Window& w) {
+    fi_.maybe_stall_drain();  // fault injection: simulate a lagging drain
+    w.dropped_deletes = apply_batch(w.formed.inserts, w.formed.insert_tickets,
+                                    w.formed.delete_tickets);
     w.applied_inserts = w.formed.inserts.size();
-    w.applied_deletes = del_ids_.size();
+    w.applied_deletes = w.formed.delete_tickets.size() - w.dropped_deletes;
     w.snap_updates.clear();
     for (VertexId v : delta_) {
       if (v >= cfg_.max_vertices) continue;  // outside the snapshot window
@@ -980,8 +905,7 @@ class MatchService {
   }
 
   // Publisher-stage body: epoch-seqlock publish of the captured values,
-  // then fold the window into stats_ and the completion counter. Caller
-  // is the single stats-owning thread of its mode.
+  // then fold the window into stats_ and the completion counter.
   void publish_window(const Window& w) {
     if (w.has_publish) {
       std::uint64_t e = epoch_.load(std::memory_order_relaxed);
@@ -1052,11 +976,11 @@ class MatchService {
 
   // Construction-time recovery: import the newest valid checkpoint (if
   // any) into the fresh matcher, then replay the journal suffix with
-  // seqno greater than the checkpoint's through the NORMAL batch path --
-  // the same insert_edges / ticket take / delete_edges sequence
-  // apply_formed runs -- so the recovered trajectory is the uncrashed one
-  // bit-for-bit (the keyed RNG streams make the epoch counters the whole
-  // RNG position; the recovery tests check via recovery_fingerprint).
+  // seqno greater than the checkpoint's through apply_batch -- the same
+  // body the matcher stage runs for every live window -- so the
+  // recovered trajectory is the uncrashed one bit-for-bit (the keyed RNG
+  // streams make the epoch counters the whole RNG position; the recovery
+  // tests check via recovery_fingerprint).
   // Runs strictly before any stage thread exists.
   void recover() {
     std::uint64_t ticket_bound = 0;
@@ -1082,19 +1006,7 @@ class MatchService {
     while (rp.next(rec)) {
       if (rec.seqno <= recovery_.checkpoint_seqno) continue;
       recovery_.ran = true;
-      delta_.clear();
-      if (!rec.inserts.empty()) {
-        auto ids = dm_.insert_edges(rec.inserts);
-        for (std::size_t i = 0; i < ids.size(); ++i)
-          tickets_.put(rec.insert_tickets[i], ids[i]);
-      }
-      del_ids_.clear();
-      for (std::uint64_t t : rec.delete_tickets) {
-        EdgeId id = tickets_.take(t);
-        if (id != graph::kInvalidEdge) del_ids_.push_back(id);
-      }
-      if (!del_ids_.empty())
-        dm_.delete_edges(std::span<const EdgeId>(del_ids_));
+      apply_batch(rec.inserts, rec.insert_tickets, rec.delete_tickets);
       if (dm_.insert_epochs() != rec.insert_epoch ||
           dm_.settle_epochs() != rec.settle_epoch)
         ++recovery_.epoch_mismatches;
@@ -1186,10 +1098,15 @@ class MatchService {
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> admitted_{0};  // landed (or landing) in a ring
   std::atomic<std::uint64_t> completed_{0};
+  // Former-owned: every request ever consumed from the rings, as of the
+  // last stop(). Like admitted_ it spans the service's whole life, not
+  // one start()..stop(), so the former's shutdown test also holds after a
+  // restart.
+  std::uint64_t popped_ = 0;
 
-  // Overload state machine. The tracking fields are drain-thread-owned
-  // (former / serial loop only); the state and transition count are
-  // published through atomics for any-thread reads.
+  // Overload state machine. The tracking fields are former-owned; the
+  // state and transition count are published through atomics for
+  // any-thread reads.
   std::uint64_t drained_stale_ = 0;   // admit-budget sheds seen by the drain
   std::uint64_t shed_seen_ = 0;       // last total-shed count observed
   std::uint64_t last_shed_ns_ = 0;    // instant of the newest shed

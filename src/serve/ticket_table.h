@@ -14,10 +14,10 @@
 // churn spikes. Long-lived steady churn therefore cycles inside one fixed
 // allocation (asserted by the recycling tests in tests/test_serve.cpp).
 //
-// Single-owner structure: exactly one thread (the serial drain thread, or
-// the pipeline's matcher stage) mutates it; idle-time readers follow the
-// same safety rule as MatchService::matcher(). Tickets are unique (an
-// atomic counter) and never reused, so put() never sees a duplicate key.
+// Single-owner structure: exactly one thread (MatchService's matcher
+// stage) mutates it; idle-time readers follow the same safety rule as
+// MatchService::matcher(). Tickets are unique (an atomic counter) and
+// never reused, so put() never sees a duplicate key.
 //
 // Complexity contract: put / take / find are expected O(1) at the
 // maintained load factor (<= 1/2 live+tombs); rehash is O(capacity),

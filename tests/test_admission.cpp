@@ -270,62 +270,48 @@ TEST(BatchFormer, AdmitBudgetShedsStaleInsertsOnly) {
 
 // Fills the (not yet started) service past its ring capacity so reject-new
 // sheds deterministically, then starts, drains, and checks that every
-// offered request is accounted for exactly once -- in both drain modes,
-// with identical accounting.
-TEST(Overload, ShedConservationRejectNewPipelineOnOff) {
+// offered request is accounted for exactly once.
+TEST(Overload, ShedConservationRejectNew) {
   constexpr std::size_t kOffered = 300;
-  struct Outcome {
-    std::uint64_t offered, committed, shed, applied;
-  };
-  auto run = [&](bool pipeline) {
-    ServiceConfig cfg;
-    cfg.matcher.seed = 42;
-    cfg.max_vertices = 4096;
-    cfg.queue_capacity = 64;
-    cfg.admission.policy = ShedPolicy::kRejectNew;
-    cfg.pipeline = pipeline;
-    MatchService svc(cfg);
-    std::size_t shed_submits = 0;
-    std::vector<std::uint64_t> tickets;
-    for (std::size_t i = 0; i < kOffered; ++i) {
-      std::uint64_t t = svc.submit_insert(
-          static_cast<graph::VertexId>(2 * i),
-          static_cast<graph::VertexId>(2 * i + 1));
-      if (t == MatchService::kShedTicket)
-        ++shed_submits;
-      else
-        tickets.push_back(t);
-    }
-    EXPECT_EQ(tickets.size(), 64u);  // exactly the ring capacity landed
-    svc.start();
-    svc.drain_until_idle();
-    // Revoke half of what landed, through the same accounting.
-    for (std::size_t i = 0; i < tickets.size(); i += 2)
-      svc.submit_delete(tickets[i]);
-    svc.drain_until_idle();
-    svc.stop();
+  ServiceConfig cfg;
+  cfg.matcher.seed = 42;
+  cfg.max_vertices = 4096;
+  cfg.queue_capacity = 64;
+  cfg.admission.policy = ShedPolicy::kRejectNew;
+  MatchService svc(cfg);
+  std::size_t shed_submits = 0;
+  std::vector<std::uint64_t> tickets;
+  for (std::size_t i = 0; i < kOffered; ++i) {
+    std::uint64_t t = svc.submit_insert(
+        static_cast<graph::VertexId>(2 * i),
+        static_cast<graph::VertexId>(2 * i + 1));
+    if (t == MatchService::kShedTicket)
+      ++shed_submits;
+    else
+      tickets.push_back(t);
+  }
+  EXPECT_EQ(tickets.size(), 64u);  // exactly the ring capacity landed
+  svc.start();
+  svc.drain_until_idle();
+  // Revoke half of what landed, through the same accounting.
+  for (std::size_t i = 0; i < tickets.size(); i += 2)
+    svc.submit_delete(tickets[i]);
+  svc.drain_until_idle();
+  svc.stop();
 
-    auto lr = svc.lane_report(0);
-    EXPECT_EQ(lr.offered, lr.committed + lr.shed_reject + lr.shed_evict +
-                              lr.shed_stale);
-    EXPECT_EQ(lr.shed_reject, shed_submits);
-    EXPECT_EQ(svc.completed_updates(), svc.submitted_updates());
-    const serve::ServiceStats& st = svc.stats();
-    std::uint64_t applied = st.applied_inserts + st.applied_deletes +
-                            st.dropped_deletes + 2 * st.annihilated +
-                            st.deduped_deletes;
-    EXPECT_EQ(lr.committed, applied);
-    EXPECT_EQ(st.applied_inserts, 64u);
-    EXPECT_EQ(st.applied_deletes, 32u);
-    return Outcome{lr.offered, lr.committed, lr.shed_reject, applied};
-  };
-  Outcome on = run(true);
-  Outcome off = run(false);
-  // Same deterministic pre-start fill -> identical accounting either way.
-  EXPECT_EQ(on.offered, off.offered);
-  EXPECT_EQ(on.committed, off.committed);
-  EXPECT_EQ(on.shed, off.shed);
-  EXPECT_EQ(on.applied, off.applied);
+  auto lr = svc.lane_report(0);
+  EXPECT_EQ(lr.offered, kOffered + tickets.size() / 2);
+  EXPECT_EQ(lr.offered, lr.committed + lr.shed_reject + lr.shed_evict +
+                            lr.shed_stale);
+  EXPECT_EQ(lr.shed_reject, shed_submits);
+  EXPECT_EQ(svc.completed_updates(), svc.submitted_updates());
+  const serve::ServiceStats& st = svc.stats();
+  std::uint64_t applied = st.applied_inserts + st.applied_deletes +
+                          st.dropped_deletes + 2 * st.annihilated +
+                          st.deduped_deletes;
+  EXPECT_EQ(lr.committed, applied);
+  EXPECT_EQ(st.applied_inserts, 64u);
+  EXPECT_EQ(st.applied_deletes, 32u);
 }
 
 // Drop-oldest through the full service: overfill pre-start, then let the

@@ -18,10 +18,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <future>
+#include <memory>
 #include <set>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -668,14 +672,15 @@ TEST(MatchService, StopFlushesPendingWindow) {
   EXPECT_EQ(svc.stats().flush_drain, 1u);
 }
 
-// ---- pipelined drain vs serial drain -------------------------------------
+// ---- drain vs direct replay ----------------------------------------------
 
 // With flushes pinned to the max-batch criterion alone (cost and deadline
 // unreachable) the window PARTITION of a single-producer stream is exactly
 // consecutive groups of `window` requests in submit order -- independent
-// of drain timing. Under a fixed partition the pipelined and serial drains
-// must be BIT-identical: same matching (as edge ids), same snapshot, same
-// deterministic counters. stop() flushes the partial tail window.
+// of drain timing. Under a fixed partition the service must be
+// BIT-identical to a direct replay of those windows on the test thread:
+// same matching (as edge ids), same snapshot, same deterministic counters.
+// stop() flushes the partial tail window.
 struct DrainResult {
   std::vector<EdgeId> matching;
   std::vector<EdgeId> snapshot;       // match_of per vertex
@@ -689,20 +694,27 @@ struct DrainResult {
   std::size_t dropped = 0;
 };
 
-DrainResult run_fixed_partition(bool pipeline, const gen::Workload& w,
+constexpr std::uint64_t kMatcherSeed = 21;
+constexpr std::uint64_t kNoTicket = ~0ull;
+
+serve::FormerConfig fixed_partition(std::size_t window) {
+  serve::FormerConfig f;
+  f.max_batch = window;
+  f.cost_flush = 1u << 20;    // unreachable
+  f.max_delay_us = 1u << 30;  // unreachable
+  return f;
+}
+
+DrainResult run_fixed_partition(const gen::Workload& w,
                                 const std::vector<gen::Update>& stream,
                                 VertexId n_vertices, std::size_t window) {
   serve::ServiceConfig cfg;
-  cfg.matcher.seed = 21;
+  cfg.matcher.seed = kMatcherSeed;
   cfg.max_vertices = n_vertices;
-  cfg.pipeline = pipeline;
   cfg.record_latencies = false;
-  cfg.former.max_batch = window;
-  cfg.former.cost_flush = 1u << 20;    // unreachable
-  cfg.former.max_delay_us = 1u << 30;  // unreachable
+  cfg.former = fixed_partition(window);
   serve::MatchService svc(cfg);
   svc.start();
-  constexpr std::uint64_t kNoTicket = ~0ull;
   std::vector<std::uint64_t> ticket(w.master.size(), kNoTicket);
   for (const gen::Update& u : stream) {
     if (u.is_insert)
@@ -735,6 +747,78 @@ DrainResult run_fixed_partition(bool pipeline, const gen::Workload& w,
   return r;
 }
 
+// The reference: the same partition applied by hand on the test thread --
+// a bare DynamicMatcher, a BatchFormer cut every `window` requests, and a
+// plain map for the tickets (numbered in insert order, as the service
+// hands them out). It shares nothing with the service's drain but the
+// former and the matcher themselves.
+DrainResult direct_replay(const gen::Workload& w,
+                          const std::vector<gen::Update>& stream,
+                          VertexId n_vertices, std::size_t window) {
+  dyn::Config mcfg;
+  mcfg.seed = kMatcherSeed;
+  dyn::DynamicMatcher dm(mcfg);
+  serve::BatchFormer former(fixed_partition(window));
+  serve::FormedBatch fb;
+  std::unordered_map<std::uint64_t, EdgeId> edge_of;
+  std::vector<std::uint64_t> ticket(w.master.size(), kNoTicket);
+  std::uint64_t next_ticket = 0;
+  DrainResult r;
+  auto apply_window = [&] {
+    former.form(fb);
+    if (!fb.inserts.empty()) {
+      auto ids = dm.insert_edges(fb.inserts);
+      for (std::size_t i = 0; i < ids.size(); ++i)
+        edge_of[fb.insert_tickets[i]] = ids[i];
+    }
+    std::vector<EdgeId> dels;
+    for (std::uint64_t t : fb.delete_tickets) {
+      auto it = edge_of.find(t);
+      if (it == edge_of.end()) {
+        ++r.dropped;
+        continue;
+      }
+      dels.push_back(it->second);
+      edge_of.erase(it);
+    }
+    if (!dels.empty()) dm.delete_edges(std::span<const EdgeId>(dels));
+    ++r.batches;
+    r.applied_inserts += fb.inserts.size();
+    r.applied_deletes += dels.size();
+    r.annihilated += fb.annihilated;
+    r.deduped += fb.deduped;
+  };
+  for (const gen::Update& u : stream) {
+    serve::UpdateRequest req;
+    if (u.is_insert) {
+      auto vs = w.master.edge(u.edge);
+      ticket[u.edge] = next_ticket;
+      req.ticket = next_ticket++;
+      req.rank = static_cast<std::uint32_t>(vs.size());
+      std::copy(vs.begin(), vs.end(), req.v);
+    } else {
+      req.ticket = ticket[u.edge];
+      req.rank = 0;
+    }
+    former.add(req);
+    if (former.window_full()) apply_window();
+  }
+  if (!former.empty()) apply_window();  // the tail stop() flushes
+
+  r.matching = dm.matching();
+  r.matched_count = dm.matched_count();
+  r.snapshot.reserve(n_vertices);
+  for (VertexId v = 0; v < n_vertices; ++v)
+    r.snapshot.push_back(dm.match_of(v));
+  r.ticket_live.reserve(w.master.size());
+  for (std::size_t i = 0; i < w.master.size(); ++i) {
+    auto it = ticket[i] == kNoTicket ? edge_of.end() : edge_of.find(ticket[i]);
+    r.ticket_live.push_back(it != edge_of.end() &&
+                            dm.pool().live(it->second));
+  }
+  return r;
+}
+
 void expect_bit_identical(const DrainResult& a, const DrainResult& b,
                           const char* label) {
   EXPECT_EQ(a.matching, b.matching) << label;
@@ -749,52 +833,52 @@ void expect_bit_identical(const DrainResult& a, const DrainResult& b,
   EXPECT_EQ(a.dropped, b.dropped) << label;
 }
 
-TEST(MatchService, PipelinedDrainBitIdenticalToSerialMixedChurn) {
+TEST(MatchService, DrainBitIdenticalToDirectReplayMixedChurn) {
   constexpr VertexId kN = 512;
   gen::Workload w = gen::churn(gen::erdos_renyi(kN, 1536, 77), 96, 0.5, 79);
   auto stream = gen::flatten(w);
-  DrainResult serial = run_fixed_partition(false, w, stream, kN, 64);
-  DrainResult piped = run_fixed_partition(true, w, stream, kN, 64);
-  EXPECT_GT(serial.batches, 10u);  // the partition really is multi-window
-  expect_bit_identical(serial, piped, "mixed churn, window 64");
-  // A different pinned partition must also agree with itself.
-  DrainResult serial7 = run_fixed_partition(false, w, stream, kN, 7);
-  DrainResult piped7 = run_fixed_partition(true, w, stream, kN, 7);
-  expect_bit_identical(serial7, piped7, "mixed churn, window 7");
+  DrainResult ref = direct_replay(w, stream, kN, 64);
+  DrainResult got = run_fixed_partition(w, stream, kN, 64);
+  EXPECT_GT(ref.batches, 10u);  // the partition really is multi-window
+  expect_bit_identical(ref, got, "mixed churn, window 64");
+  // A different pinned partition must also agree with its replay.
+  DrainResult ref7 = direct_replay(w, stream, kN, 7);
+  DrainResult got7 = run_fixed_partition(w, stream, kN, 7);
+  expect_bit_identical(ref7, got7, "mixed churn, window 7");
 }
 
-TEST(MatchService, PipelinedDrainBitIdenticalToSerialDeleteHeavy) {
+TEST(MatchService, DrainBitIdenticalToDirectReplayDeleteHeavy) {
   constexpr VertexId kN = 400;
   // p_insert 0.25: windows dominated by deletes, including same-window
   // insert+delete annihilations and unmatch/rematch cascades.
   gen::Workload w = gen::churn(gen::erdos_renyi(kN, 1200, 13), 80, 0.25, 31);
   auto stream = gen::flatten(w);
-  DrainResult serial = run_fixed_partition(false, w, stream, kN, 48);
-  DrainResult piped = run_fixed_partition(true, w, stream, kN, 48);
-  expect_bit_identical(serial, piped, "delete-heavy churn");
+  DrainResult ref = direct_replay(w, stream, kN, 48);
+  DrainResult got = run_fixed_partition(w, stream, kN, 48);
+  expect_bit_identical(ref, got, "delete-heavy churn");
 }
 
 // The determinism contract must also hold across exec modes: forced
 // sequential, forced parallel, and adaptive phases all produce the same
-// trajectory (DESIGN.md S2), pipelined or not.
-TEST(MatchService, PipelinedDrainBitIdenticalAcrossExecModes) {
+// trajectory (DESIGN.md S2), served or replayed directly.
+TEST(MatchService, DrainBitIdenticalToDirectReplayAcrossExecModes) {
   constexpr VertexId kN = 384;
   gen::Workload w = gen::churn(gen::erdos_renyi(kN, 1100, 5), 64, 0.5, 17);
   auto stream = gen::flatten(w);
   parallel::ExecMode saved = parallel::exec_mode();
   parallel::set_exec_mode(parallel::ExecMode::kSequential);
-  DrainResult serial_seq = run_fixed_partition(false, w, stream, kN, 32);
-  DrainResult piped_seq = run_fixed_partition(true, w, stream, kN, 32);
+  DrainResult ref_seq = direct_replay(w, stream, kN, 32);
+  DrainResult got_seq = run_fixed_partition(w, stream, kN, 32);
   parallel::set_exec_mode(parallel::ExecMode::kParallel);
-  DrainResult serial_par = run_fixed_partition(false, w, stream, kN, 32);
-  DrainResult piped_par = run_fixed_partition(true, w, stream, kN, 32);
+  DrainResult ref_par = direct_replay(w, stream, kN, 32);
+  DrainResult got_par = run_fixed_partition(w, stream, kN, 32);
   parallel::set_exec_mode(saved);
-  expect_bit_identical(serial_seq, piped_seq, "seq mode");
-  expect_bit_identical(serial_seq, serial_par, "serial across modes");
-  expect_bit_identical(serial_seq, piped_par, "pipelined par mode");
+  expect_bit_identical(ref_seq, got_seq, "seq mode");
+  expect_bit_identical(ref_seq, ref_par, "replay across modes");
+  expect_bit_identical(ref_seq, got_par, "par mode");
 }
 
-// ---- pipeline-specific races and bounds ----------------------------------
+// ---- pipeline races, restart and bounds ----------------------------------
 
 // The pipeline TSan target: reader threads hammer the snapshot while the
 // PUBLISHER stage (a different thread from the matcher stage) runs the
@@ -806,7 +890,6 @@ TEST(MatchService, SnapshotReadsRaceAsyncPublish) {
   serve::ServiceConfig cfg;
   cfg.matcher.seed = 31;
   cfg.max_vertices = kN;
-  cfg.pipeline = true;
   cfg.former.max_delay_us = 10;  // flush constantly: many async publishes
   cfg.former.max_batch = 64;     // small windows: stages stay busy together
   cfg.record_latencies = false;
@@ -859,6 +942,37 @@ TEST(MatchService, SnapshotReadsRaceAsyncPublish) {
     EXPECT_EQ(svc.match_of(v), svc.matcher().match_of(v));
   EXPECT_EQ(svc.matched_count(), svc.matcher().matched_count());
   EXPECT_EQ(svc.completed_updates(), svc.submitted_updates());
+}
+
+// A stopped service starts again, and the second stop() drains the
+// second run's updates just as the first did. Each stop() runs under a
+// bounded wait, so a wedged shutdown fails here instead of hanging the
+// suite.
+TEST(MatchService, StopStartStopDrainsEveryUpdate) {
+  serve::ServiceConfig cfg;
+  cfg.matcher.seed = 3;
+  cfg.max_vertices = 16;
+  auto svc = std::make_unique<serve::MatchService>(cfg);
+  auto stop_within_10s = [&] {
+    auto stopped = std::make_unique<std::future<void>>(std::async(
+        std::launch::async, [s = svc.get()] { s->stop(); }));
+    if (stopped->wait_for(std::chrono::seconds(10)) ==
+        std::future_status::ready)
+      return true;
+    // Wedged: leak the service and the future -- destroying either would
+    // block on the stuck stage threads.
+    (void)svc.release();
+    (void)stopped.release();
+    return false;
+  };
+  svc->start();
+  svc->submit_insert(0, 1);
+  ASSERT_TRUE(stop_within_10s()) << "first stop() did not return";
+  svc->start();
+  svc->submit_insert(2, 3);
+  ASSERT_TRUE(stop_within_10s()) << "stop() after a restart did not return";
+  EXPECT_EQ(svc->completed_updates(), svc->submitted_updates());
+  EXPECT_EQ(svc->matched_count(), 2u);
 }
 
 // The long-lived-service recycling bound (ROADMAP ticket): repeated

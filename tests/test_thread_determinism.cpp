@@ -85,8 +85,7 @@ void print_fingerprints(const Scenario& s) {
 // Serving-layer fingerprint: the same stream through MatchService with the
 // window partition PINNED (flushes on max_batch only, tail on stop()), so
 // the served trajectory must be bit-identical too -- across thread counts,
-// exec modes, AND the pipelined/serial drain toggle (PARMATCH_PIPELINE,
-// honored via ServiceConfig::from_env in the parent's mode strings).
+// exec modes and the grain knob, like the matcher lines.
 void print_serve_fingerprint(const Scenario& s) {
   auto w = scenario_workload(s);
   auto stream = gen::flatten(w);
@@ -168,17 +167,13 @@ TEST(ThreadDeterminism, MatchingIdenticalAcrossThreadCountsAndExecModes) {
   if (hw > 2) counts.push_back(static_cast<int>(hw));
   // Every execution policy the engine can take, including an adaptive run
   // with a pinned mid-range cutover so single batches mix the fused and
-  // forked strategies phase by phase.
-  // The PARMATCH_PIPELINE rows pin the serve-layer drain topology: the
-  // serve_* fingerprint lines must agree between the three-stage pipeline
-  // (default) and the serial drain, per thread count and exec mode.
+  // forked strategies phase by phase. The serve_* fingerprint lines are
+  // compared across the same grid.
   const std::vector<std::string> modes{
       "PARMATCH_EXEC_MODE=adaptive",
       "PARMATCH_EXEC_MODE=sequential",
       "PARMATCH_EXEC_MODE=parallel",
       "PARMATCH_EXEC_MODE=adaptive PARMATCH_CUTOVER=8",
-      "PARMATCH_EXEC_MODE=adaptive PARMATCH_PIPELINE=0",
-      "PARMATCH_EXEC_MODE=parallel PARMATCH_PIPELINE=0",
   };
   // Reservation-engine grain: each setting defines its OWN trajectory
   // (grain shapes the round-keyed draws), so each gets its own reference,
