@@ -16,6 +16,8 @@
 //      fresh service on the same directory and asserts the recovered
 //      fingerprint equals the stopped service's -- the bit-identity
 //      acceptance check, run as part of the bench, not only the tests.
+//      ckpt_kb is the size of the newest checkpoint file the run left on
+//      disk (0 when the interval never fired).
 //
 // CI crash-matrix helpers (used by the crash-recovery workflow job):
 //
@@ -132,6 +134,7 @@ OverheadRow run_overhead(const gen::Workload& w,
 
 struct RecoveryRow {
   std::uint64_t records = 0, ckpt_seqno = 0, replayed = 0;
+  double ckpt_kb = 0;  // newest checkpoint file on disk, 0 when none
   double recover_ms = 0;
   bool fp_match = false;
 };
@@ -154,6 +157,7 @@ RecoveryRow run_recovery(const gen::Workload& w,
   cfg.journal.ckpt_every = ckpt_every;
   reset_dir(cfg.journal.dir);
 
+  RecoveryRow r;
   std::uint64_t fp_before = 0;
   {
     serve::MatchService svc(cfg);
@@ -170,8 +174,14 @@ RecoveryRow run_recovery(const gen::Workload& w,
     svc.stop();
     fp_before = svc.recovery_fingerprint();
   }
+  auto ckpts = serve::list_checkpoints(cfg.journal.dir);
+  if (!ckpts.empty()) {
+    std::error_code ec;
+    auto bytes = std::filesystem::file_size(
+        serve::checkpoint_path(cfg.journal.dir, ckpts.back()), ec);
+    if (!ec) r.ckpt_kb = static_cast<double>(bytes) / 1024;
+  }
 
-  RecoveryRow r;
   Timer t;
   serve::MatchService recovered(cfg);
   r.recover_ms = t.elapsed() * 1e3;
@@ -372,7 +382,7 @@ int main(int argc, char** argv) {
 
   std::printf("\n");
   Table t2({"ckpt_every", "wal_records", "ckpt_seqno", "replayed",
-            "recover_ms", "fp_match"});
+            "ckpt_kb", "recover_ms", "fp_match"});
   std::size_t rec_n = stream.size() < 60'000 ? stream.size() : 60'000;
   bool all_match = true;
   for (std::uint64_t ck : {std::uint64_t{0}, std::uint64_t{64},
@@ -383,7 +393,8 @@ int main(int argc, char** argv) {
             Table::num(static_cast<std::size_t>(r.records)),
             Table::num(static_cast<std::size_t>(r.ckpt_seqno)),
             Table::num(static_cast<std::size_t>(r.replayed)),
-            Table::num(r.recover_ms), r.fp_match ? "1" : "0"});
+            Table::num(r.ckpt_kb), Table::num(r.recover_ms),
+            r.fp_match ? "1" : "0"});
   }
   if (!all_match) {
     std::fprintf(stderr, "E14: recovery fingerprint mismatch\n");

@@ -458,6 +458,14 @@ class DynamicMatcher {
   // charge different compaction work_units, because import rebuilds every
   // chain pre-compacted. The stream is position-independent and
   // self-validating.
+  //
+  // The chain section is sparse: [vb][k] then [v][cnt][ids...] for the k
+  // vertices with live incidences only, in ascending v. Those vertices are
+  // found from the live slots' endpoints through a vb/64-word bitmap, so
+  // an export costs O(id_bound + vb/64 + live incidences), not a visit and
+  // a word per vertex below the bound -- a service with a 2^20 vertex
+  // bound and a few thousand live edges writes thousands of words, not a
+  // million.
   void export_state(std::vector<std::uint64_t>& out) const {
     out.push_back(kStateMagic);
     out.push_back(kStateVersion);
@@ -481,27 +489,47 @@ class DynamicMatcher {
     }
     std::size_t vb = vh_.size();
     out.push_back(vb);
-    for (std::size_t v = 0; v < vb; ++v) {
-      std::size_t cnt_pos = out.size();
-      out.push_back(0);  // live-ref count, fixed up below
-      std::uint64_t cnt = 0;
-      adj_.visit(vh_[v].adj, [&](std::uint64_t ref) {
-        if (pool_.ref_valid(ref)) {
-          out.push_back(graph::EdgePool::ref_id(ref));
-          ++cnt;
-        }
-      });
-      out[cnt_pos] = cnt;  // == live_deg by the chain invariant
+    std::vector<std::uint64_t> has_live((vb + 63) / 64);
+    for (std::size_t id = 0; id < ib; ++id) {
+      if (!pool_.live(static_cast<EdgeId>(id))) continue;
+      for (VertexId v : pool_.vertices(static_cast<EdgeId>(id)))
+        has_live[v / 64] |= std::uint64_t{1} << (v % 64);
     }
+    std::size_t k_pos = out.size();
+    out.push_back(0);  // record count, fixed up below
+    std::uint64_t k = 0;
+    for (std::size_t w = 0; w < has_live.size(); ++w) {
+      for (std::uint64_t bits = has_live[w]; bits != 0; bits &= bits - 1) {
+        std::size_t v = w * 64 + std::countr_zero(bits);
+        out.push_back(v);
+        std::size_t cnt_pos = out.size();
+        out.push_back(0);  // live-ref count, fixed up below
+        std::uint64_t cnt = 0;
+        adj_.visit(vh_[v].adj, [&](std::uint64_t ref) {
+          if (pool_.ref_valid(ref)) {
+            out.push_back(graph::EdgePool::ref_id(ref));
+            ++cnt;
+          }
+        });
+        out[cnt_pos] = cnt;  // == live_deg > 0 by the chain invariant
+        ++k;
+      }
+    }
+    out[k_pos] = k;
   }
 
   // Restores a stream produced by export_state into a FRESHLY constructed
   // matcher with the same Config (the stream carries the config words and
   // refuses a mismatch -- replaying under different knobs would silently
-  // diverge). Returns false on any malformed or inconsistent stream,
-  // leaving the matcher unusable; callers treat that as a corrupt
-  // checkpoint and fall back to an older one.
-  bool import_state(std::span<const std::uint64_t> in) {
+  // diverge). A stream whose vertex bound exceeds `vertex_limit` is
+  // rejected before any per-vertex array is sized: the sparse chain
+  // section no longer backs the bound with words, so the caller's own
+  // vertex contract is what keeps a short stream from sizing vh_ by 2^32.
+  // Returns false on any malformed or inconsistent stream, leaving the
+  // matcher unusable; callers treat that as a corrupt checkpoint and fall
+  // back to an older one.
+  bool import_state(std::span<const std::uint64_t> in,
+                    std::size_t vertex_limit) {
     assert(pool_.live_count() == 0 && insert_epoch_ == 0 &&
            settle_epoch_ == 0 && matched_edges_.empty() &&
            "import into a used matcher");
@@ -518,9 +546,7 @@ class DynamicMatcher {
     std::size_t consumed = 0;
     if (!pool_.import_state(in.subspan(p), &consumed)) return false;
     p += consumed;
-    // Every vertex below the bound carries at least its chain-count word,
-    // so a bound the stream cannot back is rejected before sizing vh_.
-    if (!need(pool_.vertex_bound())) return false;
+    if (pool_.vertex_bound() > vertex_limit) return false;
     ensure_bounds();
     std::size_t ib = pool_.id_bound();
     if (!need(1)) return false;
@@ -542,15 +568,18 @@ class DynamicMatcher {
       matched_add(e);
       for (VertexId v : pool_.vertices(e)) vh_[v].taken_by = e;
     }
-    if (!need(1)) return false;
+    if (!need(2)) return false;
     std::uint64_t vb = in[p++];
+    std::uint64_t k = in[p++];
     if (vb != vh_.size()) return false;
     // Chain rebuild: one slab reservation for the whole incidence volume,
     // then per-vertex appends in exported order. Refs are recomputed from
     // the restored pool (slot generations included), so only edge ids
-    // travel in the stream. Each chain must hold exactly its vertex's live
-    // incidences (the degree counted from the pool, into live_deg), so the
-    // appends never outgrow the reservation.
+    // travel in the stream. Each record must name a distinct vertex in
+    // ascending order and hold exactly its live incidences (the degree
+    // counted from the pool, into live_deg), and the records together must
+    // cover every incidence, so no vertex with live edges is left without
+    // its chain and the appends never outgrow the reservation.
     std::size_t total = 0;
     for (std::size_t id = 0; id < ib; ++id) {
       if (!pool_.live(static_cast<EdgeId>(id))) continue;
@@ -558,12 +587,18 @@ class DynamicMatcher {
         ++vh_[v].live_deg;
       total += pool_.rank(static_cast<EdgeId>(id));
     }
-    adj_.reserve_for(total, static_cast<std::size_t>(vb));
-    for (std::uint64_t v = 0; v < vb; ++v) {
-      if (!need(1)) return false;
+    if (k > vb || k > total) return false;
+    adj_.reserve_for(total, static_cast<std::size_t>(k));
+    std::uint64_t covered = 0;
+    std::uint64_t next_v = 0;  // records ascend strictly
+    for (std::uint64_t r = 0; r < k; ++r) {
+      if (!need(2)) return false;
+      std::uint64_t v = in[p++];
       std::uint64_t cnt = in[p++];
+      if (v < next_v || v >= vb) return false;
+      next_v = v + 1;
       auto& h = vh_[static_cast<std::size_t>(v)];
-      if (cnt != h.live_deg || !need(cnt)) return false;
+      if (cnt == 0 || cnt != h.live_deg || !need(cnt)) return false;
       for (std::uint64_t j = 0; j < cnt; ++j) {
         EdgeId e = static_cast<EdgeId>(in[p++]);
         if (!pool_.live(e)) return false;
@@ -571,8 +606,9 @@ class DynamicMatcher {
         if (std::find(vs.begin(), vs.end(), v) == vs.end()) return false;
         adj_.append(h.adj, pool_.packed_ref(e));
       }
+      covered += cnt;
     }
-    return p == in.size();
+    return covered == total && p == in.size();
   }
 
   // RNG stream positions (DESIGN.md S2: the keyed streams are stateless,
@@ -595,7 +631,7 @@ class DynamicMatcher {
 
  private:
   static constexpr std::uint64_t kStateMagic = 0x504D'5354'4154'4531ull;
-  static constexpr std::uint64_t kStateVersion = 1;
+  static constexpr std::uint64_t kStateVersion = 2;
 
   // ---- batch lifecycle -------------------------------------------------
 

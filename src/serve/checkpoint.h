@@ -20,11 +20,11 @@
 //
 // The snapshot-epoch split is what keeps checkpointing off the drain's
 // critical path: the matcher stage serializes BETWEEN windows (it owns the
-// structure, so the copy is consistent by exclusion -- an O(state) memory
-// walk, no I/O), and all disk work happens on the writer thread. If the
-// writer is still busy with the previous checkpoint, the snapshot is
-// SKIPPED, never queued: falling behind on checkpoints lengthens replay,
-// it must not stall serving.
+// structure, so the copy is consistent by exclusion -- an O(live state)
+// memory walk, no I/O), and all disk work happens on the writer thread.
+// If the writer is still busy with the previous checkpoint, the snapshot
+// is SKIPPED, never queued: falling behind on checkpoints lengthens
+// replay, it must not stall serving.
 #pragma once
 
 #include <algorithm>

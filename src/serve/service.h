@@ -139,7 +139,9 @@ struct ServiceConfig {
   std::size_t queue_capacity = 1u << 16;  // per-lane ring capacity
   // Snapshot capacity: one atomic word per vertex, fixed at construction
   // so reads never race a reallocation. Submitting a vertex >= this bound
-  // is a caller error (asserted in debug builds).
+  // is a caller error (asserted in debug builds). It also bounds recovery:
+  // a checkpoint whose vertex bound exceeds it is rejected as corrupt
+  // before the matcher sizes any per-vertex array.
   graph::VertexId max_vertices = 1u << 20;
   // Record latency histograms (the serving benches' p50/p99 source).
   // Bounded memory either way (fixed-size log buckets); off skips the
@@ -986,8 +988,8 @@ class MatchService {
     std::uint64_t ticket_bound = 0;
     CheckpointData ck;
     if (load_newest_checkpoint(cfg_.journal.dir, ck)) {
-      if (!dm_.import_state(
-              std::span<const std::uint64_t>(ck.matcher_words))) {
+      if (!dm_.import_state(std::span<const std::uint64_t>(ck.matcher_words),
+                            cfg_.max_vertices)) {
         // A frame-valid checkpoint that fails matcher-level validation can
         // only be a logic bug or a cross-version file. The matcher may be
         // partially populated, so stop and surface it rather than replay

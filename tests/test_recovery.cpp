@@ -239,7 +239,7 @@ TEST(MatcherState, ExportImportPreservesTrajectory) {
   std::vector<std::uint64_t> words;
   a.export_state(words);
   dyn::DynamicMatcher b(cfg);
-  ASSERT_TRUE(b.import_state(words));
+  ASSERT_TRUE(b.import_state(words, 600));
   EXPECT_EQ(a.state_fingerprint(), b.state_fingerprint());
 
   // The future trajectory must agree bit-for-bit: same edge ids, same
@@ -274,12 +274,39 @@ TEST(MatcherState, ImportRejectsConfigMismatchAndGarbage) {
   dyn::Config other = cfg;
   other.seed = 5;
   dyn::DynamicMatcher wrong_seed(other);
-  EXPECT_FALSE(wrong_seed.import_state(words));
+  EXPECT_FALSE(wrong_seed.import_state(words, 4));
 
   std::vector<std::uint64_t> truncated(words.begin(), words.end() - 1);
   dyn::DynamicMatcher fresh(cfg);
-  EXPECT_FALSE(fresh.import_state(truncated));
+  EXPECT_FALSE(fresh.import_state(truncated, 4));
 }
+
+// Offsets into a DynamicMatcher::export_state stream of rank-2 edges: 9
+// header words, then the pool -- [nslots][vertex_bound][live][nfree][free
+// ids][slot data packed 2 x u32 per word] -- then [nlive][priorities][nm]
+// [(edge, threshold, growth) x nm], then the sparse chain section [vb][k]
+// and k records [v][cnt][cnt edge ids], ascending v, cnt > 0.
+struct StreamLayout {
+  static constexpr std::size_t kPool = 9;
+  static constexpr std::size_t kStride = 4;  // rank-2 record: gen, rank, v0, v1
+  std::size_t data = 0;                      // first slot-data word
+  std::size_t nlive_at = 0;                  // [nlive]
+  std::size_t nm_at = 0;                     // [nm]
+  std::size_t vb_at = 0;                     // [vb], then [k]
+  std::vector<std::size_t> records;          // each chain record's [v]
+
+  explicit StreamLayout(const std::vector<std::uint64_t>& w) {
+    data = kPool + 4 + w[kPool + 3];
+    nlive_at = data + (w[kPool] * kStride + 1) / 2;
+    nm_at = nlive_at + 1 + w[nlive_at];
+    vb_at = nm_at + 1 + 3 * w[nm_at];
+    std::size_t r = vb_at + 2;
+    for (std::uint64_t i = 0; i < w[vb_at + 1]; ++i) {
+      records.push_back(r);
+      r += 2 + w[r + 1];
+    }
+  }
+};
 
 // A checkpoint stream can pass its CRC and still be wrong (a buggy or
 // version-skewed writer). Each crafted stream below starts from a valid
@@ -287,49 +314,45 @@ TEST(MatcherState, ImportRejectsConfigMismatchAndGarbage) {
 // than trust; every one must be rejected cleanly -- no UB, no silently
 // accepted state.
 TEST(MatcherState, ImportRejectsCraftedStreams) {
+  constexpr std::size_t kPool = StreamLayout::kPool;
+  constexpr VertexId kN = 200;
   dyn::Config cfg;
   cfg.seed = 6;
   dyn::DynamicMatcher a(cfg);
-  a.insert_edges(gen::erdos_renyi(200, 600, 21));
+  a.insert_edges(gen::erdos_renyi(kN, 600, 21));
   std::vector<std::uint64_t> good;
   a.export_state(good);
+  const StreamLayout at(good);
 
-  // Stream layout (DynamicMatcher::export_state): 9 header words, then the
-  // pool -- [nslots][vertex_bound][live][nfree][free ids][slot data packed
-  // 2 x u32 per word] -- then [nlive][priorities][nm][(edge, threshold,
-  // growth) x nm], then the per-vertex chains.
-  constexpr std::size_t kPool = 9;
-  constexpr std::size_t kStride = 4;  // rank-2 record: gen, rank, v0, v1
   const std::uint64_t nslots = good[kPool];
   const std::uint64_t vbound = good[kPool + 1];
-  const std::size_t data = kPool + 4 + good[kPool + 3];
-  const std::size_t nlive_at = data + (nslots * kStride + 1) / 2;
-  const std::size_t nm_at = nlive_at + 1 + good[nlive_at];
-  ASSERT_GE(good[nm_at], 2u) << "need two matched edges to cross-wire";
+  ASSERT_GE(good[at.nm_at], 2u) << "need two matched edges to cross-wire";
   auto matched = [&](std::size_t i) {
-    return static_cast<EdgeId>(good[nm_at + 1 + 3 * i]);
+    return static_cast<EdgeId>(good[at.nm_at + 1 + 3 * i]);
   };
   // 32-bit word `field` (0 gen, 1 rank, 2.. vertices) of slot `id`.
   auto set_slot = [&](std::vector<std::uint64_t>& w, EdgeId id,
                       std::size_t field, std::uint32_t value) {
-    std::size_t i = static_cast<std::size_t>(id) * kStride + field;
-    std::uint64_t& word = w[data + i / 2];
+    std::size_t i = static_cast<std::size_t>(id) * StreamLayout::kStride +
+                    field;
+    std::uint64_t& word = w[at.data + i / 2];
     unsigned shift = (i % 2) * 32;
     word = (word & ~(0xFFFF'FFFFull << shift)) |
            (static_cast<std::uint64_t>(value) << shift);
   };
   auto slot = [&](EdgeId id, std::size_t field) {
-    std::size_t i = static_cast<std::size_t>(id) * kStride + field;
-    return static_cast<std::uint32_t>(good[data + i / 2] >> ((i % 2) * 32));
+    std::size_t i = static_cast<std::size_t>(id) * StreamLayout::kStride +
+                    field;
+    return static_cast<std::uint32_t>(good[at.data + i / 2] >> ((i % 2) * 32));
   };
   auto rejects = [&](const std::vector<std::uint64_t>& w) {
     dyn::DynamicMatcher m(cfg);
-    return !m.import_state(w);
+    return !m.import_state(w, kN);
   };
 
   {
     dyn::DynamicMatcher m(cfg);
-    ASSERT_TRUE(m.import_state(good));
+    ASSERT_TRUE(m.import_state(good, kN));
     ASSERT_EQ(m.state_fingerprint(), a.state_fingerprint());
   }
   {
@@ -343,7 +366,7 @@ TEST(MatcherState, ImportRejectsCraftedStreams) {
     // A live count the slot ranks do not back up (matcher's copy agrees).
     auto w = good;
     w[kPool + 2] -= 1;
-    w[nlive_at] -= 1;
+    w[at.nlive_at] -= 1;
     EXPECT_TRUE(rejects(w)) << "unrecounted live count accepted";
   }
   {
@@ -364,6 +387,148 @@ TEST(MatcherState, ImportRejectsCraftedStreams) {
     auto w = good;
     set_slot(w, matched(1), 3, slot(matched(0), 3));
     EXPECT_TRUE(rejects(w)) << "vertex matched twice accepted";
+  }
+  {
+    // A vertex bound past the caller's limit, consistent everywhere else
+    // in the stream: only the limit stops the importer from sizing its
+    // per-vertex arrays by it (at 2^32 - 1, 128 GB from a short stream).
+    for (std::uint64_t vb : {std::uint64_t{kN} + 1,
+                             std::uint64_t{graph::kInvalidVertex}}) {
+      auto w = good;
+      w[kPool + 1] = vb;
+      w[at.vb_at] = vb;
+      EXPECT_TRUE(rejects(w)) << "vertex bound " << vb << " over the limit";
+    }
+  }
+  {
+    // More chain records than vertices below the bound.
+    auto w = good;
+    w[at.vb_at + 1] = w[at.vb_at] + 1;
+    EXPECT_TRUE(rejects(w)) << "k > vb accepted";
+  }
+  {
+    // A chain record naming a vertex at the bound (the last record, so
+    // the order check alone cannot catch it).
+    auto w = good;
+    w[at.records.back()] = w[at.vb_at];
+    EXPECT_TRUE(rejects(w)) << "chain vertex >= vb accepted";
+  }
+  {
+    // A duplicated vertex: a later record replaced by a copy of an earlier
+    // one of the same length, so every count and the incidence total still
+    // agree -- only strict ascent catches it (the replaced vertex's chain
+    // would be left empty, the copied one's doubled).
+    auto w = good;
+    bool crafted = false;
+    for (std::size_t i = 0; i < at.records.size() && !crafted; ++i) {
+      for (std::size_t j = i + 1; j < at.records.size(); ++j) {
+        std::size_t ri = at.records[i], rj = at.records[j];
+        if (good[ri + 1] != good[rj + 1]) continue;
+        std::copy(good.begin() + ri, good.begin() + ri + 2 + good[ri + 1],
+                  w.begin() + rj);
+        crafted = true;
+        break;
+      }
+    }
+    ASSERT_TRUE(crafted) << "need two chains of equal length";
+    EXPECT_TRUE(rejects(w)) << "duplicate chain vertex accepted";
+  }
+  {
+    // A vertex with live incidences left out: its record dropped and k
+    // lowered to match, so the stream is otherwise well formed.
+    auto w = good;
+    std::size_t last = at.records.back();
+    w.erase(w.begin() + last, w.begin() + last + 2 + good[last + 1]);
+    w[at.vb_at + 1] -= 1;
+    EXPECT_TRUE(rejects(w)) << "missing chain accepted";
+  }
+
+  // The remaining cases need fewer chain records than incidences and
+  // isolated vertices below the bound: a sparse matcher whose three
+  // touched vertices carry four incidences under a bound of 152.
+  dyn::DynamicMatcher s(cfg);
+  {
+    graph::EdgeBatch batch;
+    batch.add({0, 150});
+    batch.add({0, 151});
+    s.insert_edges(batch);
+  }
+  std::vector<std::uint64_t> sparse;
+  s.export_state(sparse);
+  const StreamLayout sat(sparse);
+  ASSERT_EQ(sparse[sat.vb_at], 152u);
+  ASSERT_EQ(sparse[sat.vb_at + 1], 3u);
+  ASSERT_FALSE(rejects(sparse));
+  {
+    // More chain records than incidences (but fewer than vertices).
+    auto w = sparse;
+    w[sat.vb_at + 1] = 5;
+    EXPECT_TRUE(rejects(w)) << "k > total incidences accepted";
+  }
+  {
+    // An empty record for an isolated vertex: its count matches its zero
+    // degree and the incidence total is unchanged, so only the cnt > 0
+    // rule rejects it.
+    auto w = sparse;
+    std::size_t second = sat.records[1];
+    ASSERT_EQ(sparse[second], 150u);
+    std::uint64_t empty[] = {100, 0};
+    w.insert(w.begin() + second, std::begin(empty), std::end(empty));
+    w[sat.vb_at + 1] += 1;
+    EXPECT_TRUE(rejects(w)) << "cnt == 0 record accepted";
+  }
+}
+
+// The chain section is sparse, so an export follows the live state: a
+// vertex bound of 2^20 left behind by one deleted edge must not cost a
+// word per vertex below it, and the sparse stream must still round-trip
+// the bound and the future trajectory.
+TEST(MatcherState, ExportTracksLiveStateNotVertexBound) {
+  constexpr VertexId kHigh = (1u << 20) - 1;
+  dyn::Config cfg;
+  cfg.seed = 12;
+  dyn::DynamicMatcher a(cfg);
+  {
+    graph::EdgeBatch batch;
+    batch.add({0, kHigh});
+    auto ids = a.insert_edges(batch);
+    a.delete_edges(std::vector<EdgeId>(ids.begin(), ids.end()));
+  }
+  {
+    graph::EdgeBatch batch;
+    for (VertexId v = 0; v < 8; ++v) batch.add({v, (v + 3) % 10});
+    a.insert_edges(batch);
+  }
+  ASSERT_EQ(a.pool().vertex_bound(), kHigh + 1);
+
+  std::vector<std::uint64_t> words;
+  a.export_state(words);
+  EXPECT_LT(words.size(), 200u);
+
+  dyn::DynamicMatcher b(cfg);
+  ASSERT_TRUE(b.import_state(words, kHigh + 1));
+  EXPECT_EQ(b.state_fingerprint(), a.state_fingerprint());
+  EXPECT_EQ(b.pool().vertex_bound(), a.pool().vertex_bound());
+
+  // Further batches, including one reaching the high vertex again, give
+  // the same edge ids and the same matching on both matchers.
+  for (std::uint64_t round = 0; round < 4; ++round) {
+    graph::EdgeBatch batch;
+    for (VertexId v = 0; v < 6; ++v)
+      batch.add({v, static_cast<VertexId>(10 + round * 6 + v)});
+    if (round == 2) batch.add({5, kHigh});
+    auto sa = a.insert_edges(batch);
+    std::vector<EdgeId> ia(sa.begin(), sa.end());
+    auto sb = b.insert_edges(batch);
+    std::vector<EdgeId> ib(sb.begin(), sb.end());
+    ASSERT_EQ(ia, ib) << "edge-id divergence in round " << round;
+    std::vector<EdgeId> doomed = {ia[0], ia[round % ia.size()]};
+    if (doomed[0] == doomed[1]) doomed.pop_back();
+    a.delete_edges(doomed);
+    b.delete_edges(doomed);
+    ASSERT_EQ(a.matching(), b.matching()) << "matching divergence in round "
+                                          << round;
+    ASSERT_EQ(a.state_fingerprint(), b.state_fingerprint());
   }
 }
 
