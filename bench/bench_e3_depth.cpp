@@ -64,8 +64,8 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nE3b: parallelGreedyMatch reserve/commit rounds vs batch size m.\n"
-      "     The deterministic-reservations engine takes ~PARMATCH_SPEC_GRAIN\n"
-      "     rounds to slide its prefix over a conflict-free input, plus\n"
+      "     The deterministic-reservations engine takes ~kDefaultSpecGrain\n"
+      "     (8) rounds to slide its prefix over a conflict-free input, plus\n"
       "     O(log m) whp conflict rounds (Fischer-Noever). Claim: rounds\n"
       "     stay grain + O(log m) -- near-flat in m.\n\n");
   {

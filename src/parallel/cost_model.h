@@ -28,14 +28,16 @@
 //    their plain-memory fallbacks for CAS/fetch-add sites. The decision
 //    never changes results -- the plain and atomic variants compute the
 //    same values by the determinism contract (DESIGN.md S2) -- only the
-//    schedule, so matchings and stats stay bit-identical across modes.
+//    schedule, so matchings and stats stay bit-identical across modes. It
+//    is a function of n, the mode and the one calibrated cutover alone:
+//    no concurrent caller can flip it between a body's question and its
+//    parallel_for's.
 //
 // Complexity contract: run_phase_seq is O(1) after the one-time probe
 // (~1 ms); calibration never runs on a 1-worker pool (the decision is
 // forced there) or outside adaptive mode.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -94,29 +96,14 @@ class CostModel {
   // sequential cutover (every phase takes the work-stealing path).
   std::size_t phase_cutover() const { return phase_cutover_; }
 
-  // The break-even for a phase launched while `roots` top-level fork/join
-  // regions share the pool (DESIGN.md S10): with R concurrent roots over P
-  // workers a phase sees ~P/R effective workers, so the launch tax takes
-  // longer to amortize and the crossover moves right -- at P/R <= 1 forking
-  // buys nothing and the cutover saturates at kMaxCutover. Solved once per
-  // root count at calibration from the same probe readings
-  // (n*_R = launch / (item * (1 - 1/max(2, P/R)))); a PARMATCH_CUTOVER pin
-  // applies to every root count (reproducible runs stay reproducible).
-  std::size_t phase_cutover_for(int roots) const {
-    if (roots <= 1) return phase_cutover_;
-    if (roots > Scheduler::kMaxRoots) roots = Scheduler::kMaxRoots;
-    std::size_t c = cutover_by_roots_[static_cast<std::size_t>(roots - 1)];
-    return c != 0 ? c : phase_cutover_;
-  }
-
   // Probe readings (diagnostics; 0 when pinned by PARMATCH_CUTOVER or on a
   // 1-worker pool where the probe never runs).
   double launch_ns() const { return launch_ns_; }
   double item_ns() const { return item_ns_; }
 
-  // True when PARMATCH_CUTOVER pinned the crossover: every derived cutover
-  // (per-roots, speculative) must then return the pin verbatim so a pinned
-  // run exercises exactly one execution shape.
+  // True when PARMATCH_CUTOVER pinned the crossover: the speculative
+  // cutover must then return the pin verbatim so a pinned run exercises
+  // exactly one execution shape.
   bool pinned() const { return pinned_; }
 
   // Break-even for one reserve/commit round of the deterministic-
@@ -129,8 +116,8 @@ class CostModel {
   // calibration pass, nothing new to drift) while letting mid-size rounds
   // fork. The divided value is floored at kMinSpecCutover: below that the
   // launch tax dominates even an expensive body.
-  std::size_t spec_cutover_for(int roots) const {
-    std::size_t c = phase_cutover_for(roots);
+  std::size_t spec_cutover() const {
+    std::size_t c = phase_cutover_;
     if (pinned_ || c == 0) return c;  // pin / "always fork" pass through
     c /= kSpecBodyFactor;
     return c < kMinSpecCutover ? kMinSpecCutover : c;
@@ -144,15 +131,13 @@ class CostModel {
   static constexpr std::size_t kMinCutover = 128;
   static constexpr std::size_t kMaxCutover = 1u << 15;
   // Speculation-round body cost relative to the probe body, and the floor
-  // the divided cutover never drops below (see spec_cutover_for).
+  // the divided cutover never drops below (see spec_cutover).
   static constexpr std::size_t kSpecBodyFactor = 4;
   static constexpr std::size_t kMinSpecCutover = 32;
 
   CostModel() {
-    cutover_by_roots_.fill(0);
     if (const char* env = std::getenv("PARMATCH_CUTOVER")) {
       phase_cutover_ = std::strtoull(env, nullptr, 10);
-      cutover_by_roots_.fill(phase_cutover_);
       pinned_ = true;
       return;
     }
@@ -188,7 +173,10 @@ class CostModel {
     // over a few items per worker forces the full fork tree, steals, and
     // the joining barrier. Median of repeated runs after a short warmup,
     // so the figure reflects a warm (spinning, not parked) pool -- the
-    // steady state between consecutive phases of one batch.
+    // steady state between consecutive phases of one batch. If another
+    // thread holds the root meanwhile, the probe runs inline and the
+    // cutover floors at kMinCutover: a slower schedule, never a different
+    // result.
     const std::size_t n = static_cast<std::size_t>(p) * 4;
     auto launch_once = [&] {
       Scheduler::instance().run(n, 1, [&](std::size_t b, std::size_t e) {
@@ -215,28 +203,15 @@ class CostModel {
     launch_ns_ = samples[kTimed / 2];
 
     // Break-even: sequential costs n*item, parallel launch + n*item/p.
-    // Per root count R, the effective pool is P/R workers (the other
-    // R-1 roots keep their share busy), so each entry solves the same
-    // equation at the reduced parallelism.
-    for (int roots = 1; roots <= Scheduler::kMaxRoots; ++roots) {
-      int peff = p / roots;
-      std::size_t cut;
-      if (peff <= 1) {
-        cut = kMaxCutover;  // no parallelism left for this root: stay inline
-      } else {
-        double star = launch_ns_ / (item_ns_ * (1.0 - 1.0 / peff));
-        cut = static_cast<std::size_t>(star);
-        if (cut < kMinCutover) cut = kMinCutover;
-        if (cut > kMaxCutover) cut = kMaxCutover;
-      }
-      cutover_by_roots_[static_cast<std::size_t>(roots - 1)] = cut;
-    }
-    phase_cutover_ = cutover_by_roots_[0];
+    double star = launch_ns_ / (item_ns_ * (1.0 - 1.0 / p));
+    std::size_t cut = static_cast<std::size_t>(star);
+    if (cut < kMinCutover) cut = kMinCutover;
+    if (cut > kMaxCutover) cut = kMaxCutover;
+    phase_cutover_ = cut;
   }
 
   std::size_t phase_cutover_ = 0;
   bool pinned_ = false;
-  std::array<std::size_t, Scheduler::kMaxRoots> cutover_by_roots_{};
   double launch_ns_ = 0;
   double item_ns_ = 0;
   volatile std::uint32_t sink_ = 0;  // keeps the probe loops observable
@@ -245,27 +220,20 @@ class CostModel {
 // The per-phase decision: true when a phase of n items runs inline on the
 // calling thread (so plain-memory fallbacks are safe), false when it takes
 // the work-stealing path. parallel_for consults this internally; phase
-// bodies that branch on it must pass the SAME n as their loop bound.
-//
-// Adaptive mode consults the break-even for the CURRENT root population:
-// a thread outside the pool counts itself as one more root (it would claim
-// a slot if it forked). The answer can differ between two identical phases
-// under different concurrent load -- that is the point -- but it never
-// changes results, only the schedule (determinism contract, DESIGN.md S2).
+// bodies that branch on it must pass the SAME n as their loop bound. The
+// answer depends only on n, the mode and the calibrated cutover -- never on
+// what other threads are doing -- so a body and the parallel_for it then
+// calls always agree.
 inline bool run_phase_seq(std::size_t n) {
-  Scheduler& s = Scheduler::instance();
-  if (s.workers() == 1) return true;
+  if (num_workers() == 1) return true;
   switch (exec_mode()) {
     case ExecMode::kSequential:
       return true;
     case ExecMode::kParallel:
       return false;
     case ExecMode::kAdaptive:
-    default: {
-      int roots = s.active_roots() + (Scheduler::inside_pool() ? 0 : 1);
-      if (roots < 1) roots = 1;
-      return n <= CostModel::instance().phase_cutover_for(roots);
-    }
+    default:
+      return n <= CostModel::instance().phase_cutover();
   }
 }
 
@@ -274,24 +242,20 @@ inline bool run_phase_seq(std::size_t n) {
 // phases all run inline on the caller with plain memory ops (the engine's
 // fused strategy), false means each phase forks. Identical shape to
 // run_phase_seq but against the speculation-round break-even, whose body is
-// several times the probe's (see CostModel::spec_cutover_for). Like every
+// several times the probe's (see CostModel::spec_cutover). Like every
 // execution-mode decision this never changes results or the engine's
 // round/retry counters -- a fused round replays the same reserve-all-then-
 // commit-all phase order the forked round barriers into.
 inline bool run_spec_round_seq(std::size_t n) {
-  Scheduler& s = Scheduler::instance();
-  if (s.workers() == 1) return true;
+  if (num_workers() == 1) return true;
   switch (exec_mode()) {
     case ExecMode::kSequential:
       return true;
     case ExecMode::kParallel:
       return false;
     case ExecMode::kAdaptive:
-    default: {
-      int roots = s.active_roots() + (Scheduler::inside_pool() ? 0 : 1);
-      if (roots < 1) roots = 1;
-      return n <= CostModel::instance().spec_cutover_for(roots);
-    }
+    default:
+      return n <= CostModel::instance().spec_cutover();
   }
 }
 

@@ -26,28 +26,10 @@ inline std::size_t model_depth(std::size_t n) {
   return n <= 1 ? 1 : 1 + static_cast<std::size_t>(std::bit_width(n - 1));
 }
 
-// True when the pool has exactly one worker (PARMATCH_NUM_THREADS=1 or a
-// 1-core host). Parallel phases then run inline on the caller, so hot loops
-// may take plain-memory fallbacks for their CAS/fetch-add sites -- the
-// results are identical by the determinism contract (DESIGN.md S2), but the
-// lock-prefixed instructions are pure overhead without concurrency.
-inline bool sequential_mode() { return num_workers() == 1; }
-
-// Default grain targets ~8 chunks per worker available to THIS loop's
-// root: when R top-level roots share the pool (DESIGN.md S10) each sees
-// ~P/R effective workers, so the grain coarsens and the fork tree shrinks
-// instead of flooding the shared deques with chunks nobody is free to
-// steal. Chunking never affects results (determinism contract, S2), only
-// the schedule.
+// Default grain targets ~8 chunks per worker. Chunking never affects
+// results (determinism contract, S2), only the schedule.
 inline std::size_t default_grain(std::size_t n) {
-  Scheduler& s = Scheduler::instance();
-  std::size_t p = static_cast<std::size_t>(s.workers());
-  int roots = s.active_roots() + (Scheduler::inside_pool() ? 0 : 1);
-  if (roots > 1) {
-    p /= static_cast<std::size_t>(roots);
-    if (p == 0) p = 1;
-  }
-  std::size_t g = n / (8 * p) + 1;
+  std::size_t g = n / (8 * static_cast<std::size_t>(num_workers())) + 1;
   return g < 2048 ? g : 2048;
 }
 

@@ -3,7 +3,7 @@
 // assumes (Section 2): parallel loops with O(log) depth overhead.
 //
 // Design: one process-wide pool of (num_workers - 1) helper threads plus
-// the calling thread(s), each owning a Chase-Lev deque of forked loop
+// the calling (root) thread, each owning a Chase-Lev deque of forked loop
 // halves. A parallel loop splits its range on grain-aligned midpoints: each
 // split pushes the right half onto the splitting worker's deque and descends
 // into the left half; on the way back up, an un-stolen right half is popped
@@ -16,31 +16,21 @@
 // keyed by a work epoch; forks and stolen-task completions bump the epoch
 // and wake parked workers.
 //
-// Concurrent fork/join ROOTS (DESIGN.md S10): an external thread entering
-// run() claims one of kMaxRoots root slots -- each slot is its own deque --
-// instead of the old become-worker-0-under-a-mutex protocol, so multiple
-// external threads (the serve pipeline's matcher stage, bench drivers) can
-// each run nested parallel_for simultaneously over the SHARED helper pool.
-// Thieves scan every deque, worker and root alike,
-// so helpers load-balance across whatever roots are live; a joining root
-// steals too, which may execute another root's task -- tasks are
-// self-contained (fn + ctx + range), so cross-root help is correctness-
-// neutral and keeps every core busy. Each root's split tree lives entirely
-// on its claimed deque plus whoever stole from it, so per-root join
-// accounting never bleeds across roots: a root's run() returns exactly when
-// ITS range is covered, regardless of what other roots are doing. When all
-// kMaxRoots slots are busy the claiming thread spin/yields for a free one
-// (bounded by the number of truly concurrent regions, not a correctness
-// cliff). active_roots() feeds the cost model's per-root break-even
-// (parallel/cost_model.h): with R roots sharing P workers a phase sees
-// ~P/R effective workers, so the fork/join crossover moves.
+// One fork/join ROOT (DESIGN.md S10): deque 0 belongs to whichever
+// external thread is inside run(). The paper's model is one binary-forking
+// computation per batch, and the service forks only from its matcher
+// thread, so one root is all a caller needs. An external thread that finds
+// the root taken runs its whole range inline as one [0, n) chunk -- the
+// chunk the 1-worker and below-grain paths already deliver, so results
+// never depend on it, and no caller's phase decision depends on what other
+// threads are doing (parallel/cost_model.h).
 //
 // No heap allocation anywhere on the fork/join path: loop closures live in
 // the caller's frame (a raw context pointer, not std::function), and forked
 // task records live on the stack of the frame that forked them, which
-// cannot unwind before the join completes. Claiming a root slot is one
-// uncontended exchange; phases below the grain (and 1-worker pools) run
-// inline without claiming anything.
+// cannot unwind before the join completes. Claiming the root is one
+// exchange; phases below the grain (and 1-worker pools) run inline without
+// claiming anything.
 //
 // Worker count is fixed at first use: PARMATCH_NUM_THREADS=k pins k (k = 1
 // is fully sequential), otherwise hardware concurrency. Complexity
@@ -154,11 +144,6 @@ class Deque {
 
 class Scheduler {
  public:
-  // Concurrent top-level fork/join roots the pool admits. More concurrent
-  // external regions than this spin for a slot; raise if a future layer
-  // genuinely runs >16 simultaneous top-level regions.
-  static constexpr int kMaxRoots = 16;
-
   static Scheduler& instance() {
     static Scheduler s;
     return s;
@@ -166,22 +151,12 @@ class Scheduler {
 
   int workers() const { return workers_; }
 
-  // Number of currently claimed top-level roots (monitoring + the cost
-  // model's per-root break-even). Racy by design.
-  int active_roots() const {
-    return active_roots_.load(std::memory_order_relaxed);
-  }
-
-  // True when the calling thread is already inside the pool (a helper
-  // worker or a thread holding a root slot): its next run() forks in place
-  // instead of claiming a new root.
-  static bool inside_pool() { return tls_id_ >= 0; }
-
   // Runs fn(begin, end) over [0, n) in grain-aligned chunks across all
   // workers; blocks until every chunk has finished. Safe to call from
   // inside a running chunk: nested regions fork onto the current worker's
-  // deque and parallelize like top-level ones. Safe to call from multiple
-  // external threads concurrently: each claims its own root slot.
+  // deque and parallelize like top-level ones. Safe to call from several
+  // external threads at once: the one holding the root forks, the others
+  // run their range inline.
   template <typename F>
   void run(std::size_t n, std::size_t grain, F&& fn) {
     if (n == 0) return;
@@ -192,27 +167,28 @@ class Scheduler {
     }
     using Fd = std::remove_reference_t<F>;
     LoopCtx<Fd> ctx{this, &fn, grain};
-    if (tls_id_ >= 0) {  // nested call on a worker or root: fork in place
+    if (tls_id_ >= 0) {  // nested call on a worker or the root: fork in place
       split<Fd>(ctx, 0, n);
       return;
     }
-    // Top-level call from an external thread: claim a root slot (own
-    // deque) for the duration. Loop bodies must not throw (forked task
-    // records live on frames that would unwind past un-joined thieves);
-    // the guard still releases the slot and restores tls_id_ on unwind so
-    // a stray exception cannot leak the slot.
-    int root = claim_root_slot();
+    if (root_busy_.exchange(true, std::memory_order_acquire)) {
+      fn(0, n);  // another external thread holds the root
+      return;
+    }
+    // Top-level call holding the root (deque 0) for the duration. Loop
+    // bodies must not throw (forked task records live on frames that would
+    // unwind past un-joined thieves); the guard still releases the root and
+    // restores tls_id_ on unwind so a stray exception cannot leak it.
     struct RootGuard {
       Scheduler* s;
-      int root;
       ~RootGuard() {
         tls_id_ = -1;
-        s->release_root_slot(root);
+        s->root_busy_.store(false, std::memory_order_release);
       }
-    } guard{this, root};
-    tls_id_ = root_slot_index(root);
+    } guard{this};
+    tls_id_ = 0;
     split<Fd>(ctx, 0, n);
-    assert(worker_[static_cast<std::size_t>(tls_id_)].deque.empty());
+    assert(worker_[0].deque.empty());
   }
 
  private:
@@ -227,33 +203,6 @@ class Scheduler {
   static void thief_entry(detail::RangeTask* t) {
     const auto* c = static_cast<const LoopCtx<F>*>(t->ctx);
     c->sched->template split<F>(*c, t->lo, t->hi);
-  }
-
-  // Deque index of root slot r: slot 0 is the historical worker-0 deque
-  // (fast path for the common single-root case); extra roots live past the
-  // helper workers' deques.
-  int root_slot_index(int r) const { return r == 0 ? 0 : workers_ + r - 1; }
-
-  // Claims any free root slot, spin/yielding when all kMaxRoots are busy
-  // (more simultaneous top-level regions than slots -- bounded wait, one
-  // of them finishes). The relaxed pre-check keeps the scan read-only
-  // until a slot actually looks free.
-  int claim_root_slot() {
-    for (;;) {
-      for (int r = 0; r < kMaxRoots; ++r) {
-        if (!root_busy_[r].load(std::memory_order_relaxed) &&
-            !root_busy_[r].exchange(true, std::memory_order_acquire)) {
-          active_roots_.fetch_add(1, std::memory_order_relaxed);
-          return r;
-        }
-      }
-      std::this_thread::yield();
-    }
-  }
-
-  void release_root_slot(int r) {
-    active_roots_.fetch_sub(1, std::memory_order_relaxed);
-    root_busy_[r].store(false, std::memory_order_release);
   }
 
   // Grain-aligned binary split. Right halves are forked; the left descent
@@ -289,7 +238,7 @@ class Scheduler {
   }
 
   // Steal-while-waiting join: runs other tasks until the thief sets done,
-  // then parks if the wait drags on. Stolen work may belong to any root.
+  // then parks if the wait drags on.
   void join(detail::RangeTask& t) {
     int idle = 0;
     std::uint64_t seen = work_epoch_.load(std::memory_order_acquire);
@@ -319,11 +268,10 @@ class Scheduler {
     }
   }
 
-  // Scans every deque -- helper workers AND root slots -- so helpers serve
-  // whichever roots are live and a joining root helps its peers.
+  // Scans every other deque, the root's included.
   detail::RangeTask* try_steal() {
     int self = tls_id_;
-    int p = nslots_;
+    int p = workers_;
     std::uint32_t start = next_victim_seed();
     for (int i = 0; i < p; ++i) {
       int v = static_cast<int>((start + static_cast<std::uint32_t>(i)) %
@@ -393,10 +341,8 @@ class Scheduler {
 
   Scheduler() {
     workers_ = decide_workers();
-    // Deque slots: [0] = root slot 0 (the historical worker-0 deque),
-    // [1, workers_) = helper workers, [workers_, nslots_) = extra roots.
-    nslots_ = workers_ + kMaxRoots - 1;
-    worker_ = std::make_unique<PerWorker[]>(static_cast<std::size_t>(nslots_));
+    // Deque 0 is the root's; [1, workers_) are the helper workers'.
+    worker_ = std::make_unique<PerWorker[]>(static_cast<std::size_t>(workers_));
     threads_.reserve(static_cast<std::size_t>(workers_ - 1));
     for (int i = 1; i < workers_; ++i)
       threads_.emplace_back([this, i] { worker_loop(i); });
@@ -432,12 +378,9 @@ class Scheduler {
   };
 
   int workers_;
-  int nslots_;  // workers_ + kMaxRoots - 1 deques
   std::unique_ptr<PerWorker[]> worker_;
   std::vector<std::thread> threads_;
-
-  std::array<std::atomic<bool>, kMaxRoots> root_busy_{};
-  std::atomic<int> active_roots_{0};
+  std::atomic<bool> root_busy_{false};
 
   std::mutex mutex_;
   std::condition_variable cv_;

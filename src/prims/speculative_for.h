@@ -38,10 +38,10 @@
 // the retry queue is packed in index order and reservations are
 // commutative min-writes, so rounds, retries, and every step decision are
 // bit-identical across thread counts and PARMATCH_EXEC_MODE settings. The
-// prefix cap -- max(n / PARMATCH_SPEC_GRAIN + 1, kMinSpecPrefix), parlay's
-// granularity rule with a small-input floor -- IS part of the trajectory
-// (a retried item may key RNG draws by round), so it comes from a fixed
-// env knob, never from machine calibration.
+// prefix cap -- max(n / grain + 1, kMinSpecPrefix), parlay's granularity
+// rule with a small-input floor -- IS part of the trajectory (a retried
+// item may key RNG draws by round), so its grain is a compile-time
+// constant (or the caller's explicit argument), never machine-derived.
 //
 // Execution strategy (DESIGN.md S11): each round consults
 // parallel::run_spec_round_seq(size) once; below the cutover all three
@@ -90,7 +90,7 @@ struct SpecStats {
 // bookkeeping site).
 inline constexpr std::size_t kSpecRoundPhases = 3;
 
-// Granularity knob: the prefix cap is max(n / grain + 1, kMinSpecPrefix),
+// Granularity: the prefix cap is max(n / grain + 1, kMinSpecPrefix),
 // so `grain` is roughly the number of rounds a large conflict-free run
 // takes. Small grain = wide prefixes = more parallelism but more
 // speculation; large grain = narrow prefixes closer to the sequential
@@ -101,34 +101,6 @@ inline constexpr std::size_t kSpecRoundPhases = 3;
 // may ever be machine-derived.
 inline constexpr std::size_t kDefaultSpecGrain = 8;
 inline constexpr std::size_t kMinSpecPrefix = 64;
-
-namespace detail {
-
-inline std::atomic<std::size_t>& spec_grain_slot() {
-  static std::atomic<std::size_t> g{[] {
-    if (const char* env = std::getenv("PARMATCH_SPEC_GRAIN")) {
-      std::size_t v = std::strtoull(env, nullptr, 10);
-      if (v > 0) return v;
-    }
-    return kDefaultSpecGrain;
-  }()};
-  return g;
-}
-
-}  // namespace detail
-
-// The process-wide prefix granularity (PARMATCH_SPEC_GRAIN at startup).
-inline std::size_t spec_grain() {
-  return detail::spec_grain_slot().load(std::memory_order_relaxed);
-}
-
-// Programmatic override (benches/tests); 0 restores the default. NOTE:
-// unlike set_exec_mode this CAN change trajectories (round-keyed draws),
-// so comparisons must hold the grain fixed.
-inline void set_spec_grain(std::size_t g) {
-  detail::spec_grain_slot().store(g == 0 ? kDefaultSpecGrain : g,
-                                  std::memory_order_relaxed);
-}
 
 inline std::size_t spec_prefix_cap(std::size_t n, std::size_t grain) {
   std::size_t cap = n / (grain == 0 ? kDefaultSpecGrain : grain) + 1;
@@ -189,7 +161,7 @@ inline void release_slot(std::uint32_t& slot, bool seq) {
 //   bool commit(std::size_t i);   // true = success (finalize follows)
 //   void finalize(std::size_t i); // sequential, ascending, successes only
 //
-// `grain` 0 means the process-wide spec_grain(). `depth` (optional)
+// `grain` 0 means kDefaultSpecGrain. `depth` (optional)
 // accumulates kSpecRoundPhases * model_depth(prefix) per round.
 template <typename Step>
 SpecStats speculative_for(Step& step, std::size_t start, std::size_t end,
@@ -212,9 +184,8 @@ SpecStats speculative_for(Step& step, std::size_t start, std::size_t end,
   if (cap > n) cap = n;
   // Ping-pong retry queues + per-item round status, allocated once. The
   // pack grain is captured here and reused for every round: default_grain
-  // is non-monotone in n and moves with the live root count, so sizing the
-  // counters from one call and packing with another could need more blocks
-  // than were allocated.
+  // is non-monotone in n, so sizing the counters from one call and packing
+  // with another could need more blocks than were allocated.
   auto carry_a = arena.alloc<std::uint32_t>(cap);
   auto carry_b = arena.alloc<std::uint32_t>(cap);
   auto status = arena.alloc<std::uint8_t>(cap);

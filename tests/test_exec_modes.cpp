@@ -13,14 +13,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "dyn/dynamic_matcher.h"
 #include "gen/generators.h"
 #include "gen/workloads.h"
 #include "parallel/cost_model.h"
-#include "prims/speculative_for.h"
 
 using namespace parmatch;
 using graph::EdgeId;
@@ -115,26 +113,6 @@ TEST(ExecModes, LightOnlyAblationBitIdenticalAcrossModes) {
   auto ad = run_workload(w, parallel::ExecMode::kAdaptive, true);
   expect_identical(seq, par, "light_only", 7);
   expect_identical(seq, ad, "light_only", 7);
-}
-
-// The reservation-engine grain crosses the mode equivalence: every
-// PARMATCH_SPEC_GRAIN setting defines its OWN deterministic trajectory
-// (grain changes round-keyed draws, so records are only compared within a
-// setting, never across), and within each setting the three execution
-// modes must still agree bit for bit.
-TEST(ExecModes, EngineKnobsPreserveModeEquivalence) {
-  std::size_t saved_grain = prims::spec_grain();
-  auto w = gen::churn(gen::erdos_renyi(350, 1'400, 41), 24, 0.45, 211);
-  for (std::size_t grain : {std::size_t{0}, std::size_t{2}, std::size_t{16}}) {
-    prims::set_spec_grain(grain);
-    auto seq = run_workload(w, parallel::ExecMode::kSequential);
-    auto par = run_workload(w, parallel::ExecMode::kParallel);
-    auto ad = run_workload(w, parallel::ExecMode::kAdaptive);
-    std::string tag = "grain=" + std::to_string(grain);
-    expect_identical(seq, par, tag.c_str(), 24);
-    expect_identical(seq, ad, tag.c_str(), 24);
-  }
-  prims::set_spec_grain(saved_grain);
 }
 
 // The fused_batches diagnostic must actually engage: forced-sequential

@@ -291,21 +291,14 @@ TEST(SpeculativeFor, WarmArenaFootprintIsStable) {
   EXPECT_EQ(arena.capacity(), high_water);
 }
 
-// The spec-grain knob plumbing: env-defaulted, programmatically overridable,
-// 0 restores the default, and the prefix cap follows
-// max(n / grain + 1, kMinSpecPrefix).
+// The prefix cap follows max(n / grain + 1, kMinSpecPrefix); grain 0 means
+// kDefaultSpecGrain.
 TEST(SpeculativeFor, GrainKnobAndPrefixCap) {
-  std::size_t saved = prims::spec_grain();
-  prims::set_spec_grain(4);
-  EXPECT_EQ(prims::spec_grain(), 4u);
   EXPECT_EQ(prims::spec_prefix_cap(100, 0), prims::kMinSpecPrefix);
   EXPECT_EQ(prims::spec_prefix_cap(100, 4), prims::kMinSpecPrefix);
   EXPECT_EQ(prims::spec_prefix_cap(4'000, 4), 1'001u);
   EXPECT_EQ(prims::spec_prefix_cap(4'000, 0),
             4'000 / prims::kDefaultSpecGrain + 1);
-  prims::set_spec_grain(0);
-  EXPECT_EQ(prims::spec_grain(), prims::kDefaultSpecGrain);
-  prims::set_spec_grain(saved);
 }
 
 }  // namespace

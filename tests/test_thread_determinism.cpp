@@ -7,9 +7,7 @@
 // PARMATCH_NUM_THREADS=1, 2, and hardware concurrency, crossed with
 // PARMATCH_EXEC_MODE=adaptive/sequential/parallel and a mid-range pinned
 // PARMATCH_CUTOVER (which makes adaptive mode mix both strategies inside
-// single batches). The reservation-engine grain knob (PARMATCH_SPEC_GRAIN)
-// pins its own reference trajectory and the whole grid must agree within
-// each setting.
+// single batches).
 //
 // The worker count is frozen at first scheduler use, so one process cannot
 // observe two counts: the parent test re-executes this binary (filtered to
@@ -175,34 +173,20 @@ TEST(ThreadDeterminism, MatchingIdenticalAcrossThreadCountsAndExecModes) {
       "PARMATCH_EXEC_MODE=parallel",
       "PARMATCH_EXEC_MODE=adaptive PARMATCH_CUTOVER=8",
   };
-  // Reservation-engine grain: each setting defines its OWN trajectory
-  // (grain shapes the round-keyed draws), so each gets its own reference,
-  // compared across the full threads x exec-mode grid. The env string is
-  // prepended verbatim to every child invocation of its grid.
-  const std::vector<std::string> knobs{
-      "",
-      "PARMATCH_SPEC_GRAIN=4",
-  };
-  for (const std::string& knob : knobs) {
-    auto with_knob = [&](const std::string& mode) {
-      return knob.empty() ? mode : knob + " " + mode;
-    };
-    auto reference = run_child(counts[0], with_knob(modes[0]));
-    ASSERT_FALSE(reference.empty())
-        << "child produced no fingerprints for knob '" << knob << "'";
-    // Both scenarios fingerprint every batch.
-    ASSERT_GT(reference.size(), 100u);
-    for (int threads : counts) {
-      for (const std::string& mode : modes) {
-        if (threads == counts[0] && mode == modes[0]) continue;
-        auto got = run_child(threads, with_knob(mode));
-        ASSERT_EQ(got.size(), reference.size())
-            << "threads=" << threads << " " << with_knob(mode);
-        for (std::size_t i = 0; i < reference.size(); ++i)
-          EXPECT_EQ(got[i], reference[i])
-              << "first divergence at line " << i << " for threads=" << threads
-              << " " << with_knob(mode);
-      }
+  auto reference = run_child(counts[0], modes[0]);
+  ASSERT_FALSE(reference.empty()) << "child produced no fingerprints";
+  // Both scenarios fingerprint every batch.
+  ASSERT_GT(reference.size(), 100u);
+  for (int threads : counts) {
+    for (const std::string& mode : modes) {
+      if (threads == counts[0] && mode == modes[0]) continue;
+      auto got = run_child(threads, mode);
+      ASSERT_EQ(got.size(), reference.size())
+          << "threads=" << threads << " " << mode;
+      for (std::size_t i = 0; i < reference.size(); ++i)
+        EXPECT_EQ(got[i], reference[i])
+            << "first divergence at line " << i << " for threads=" << threads
+            << " " << mode;
     }
   }
 }
