@@ -61,18 +61,18 @@
 //   candidate list is rescanned from adjacency after the harvest.
 //
 // Adaptive execution (DESIGN.md S11): that phase plan is a *logical*
-// schedule. Per phase, parallel/cost_model.h decides whether the
-// work-stealing path can amortize its launch + barrier latency; below the
-// calibrated cutover the phase runs inline with plain memory ops. For a
-// whole batch below the cutover, insert additionally takes a fused
-// sequential fast path -- direct endpoint grouping and classification in
-// one pass over the workspace, no semisort/scan/pack machinery -- and
-// delete takes the analogous direct-loop path. Both fast paths replay the
-// SAME logical phases with the SAME keyed RNG draws and charge the SAME
-// model depth, so the trajectory (matching, stats, depth counters) is
-// bit-identical across PARMATCH_EXEC_MODE=sequential/parallel/adaptive and
-// any thread count (tests/test_exec_modes.cpp,
-// tests/test_thread_determinism.cpp).
+// schedule, and each phase has ONE body, written over a [b, e) block.
+// Whether a phase runs as one inline block with plain memory ops or as
+// forked blocks is decided only inside the primitives that run the body
+// (parallel_for_blocked, prims::pack_blocks, group_by, speculative_for),
+// from parallel/cost_model.h's calibrated cutover. A body that shares a
+// counter across blocks asks run_phase_seq of the same n whether it needs
+// an atomic. Every phase makes the SAME keyed RNG draws and charges the
+// SAME model depth either way, so the trajectory (matching, stats, depth
+// counters) is bit-identical across PARMATCH_EXEC_MODE=sequential/parallel/
+// adaptive and any thread count (tests/test_exec_modes.cpp,
+// tests/test_thread_determinism.cpp), and an 8-update batch still makes
+// only a few passes over its data.
 //
 // All randomness is keyed, not sequenced: priority and reservoir draws come
 // from parallel::RngStream draws (util/rng.h 3-arg hash64) keyed by
@@ -187,80 +187,48 @@ class DynamicMatcher {
     stats_.work_units += batch.total_cardinality();
     if (k == 0) return ids;
 
-    // Cutover: below the calibrated phase crossover the whole batch runs
-    // the fused direct-loop pipeline (same logical phases, same charges).
-    const bool fused = parallel::run_phase_seq(k);
-    if (fused) ++stats_.fused_batches;
+    // Diagnostics only: the batch is below the calibrated cutover, so its
+    // phases run inline (parbench reports the share as fused_frac).
+    if (parallel::run_phase_seq(k)) ++stats_.fused_batches;
 
     // P1: every inserted edge draws its sample, keyed (batch epoch, slot).
-    // Recycled ids land at random positions in pri_; the fused path sweeps
-    // all the lines first (they are about to be written back-to-back), the
-    // forked path prefetches ahead inside each chunk.
+    // Recycled ids land at random positions in pri_, so the lines are
+    // prefetched ahead of the writes.
     charge_phase(k);
-    if (fused) {
-      std::size_t sweep = k <= kSweepSmall ? k : kPrefetchAhead;
-      for (std::size_t i = 0; i < sweep; ++i) prefetch_write(&pri_[ids[i]]);
-      for (std::size_t i = 0; i < k; ++i) {
-        if (k > kSweepSmall && i + kPrefetchAhead < k)
-          prefetch_write(&pri_[ids[i + kPrefetchAhead]]);
-        pri_[ids[i]] = insert_pri_.word(epoch, i);
-      }
-    } else {
-      parallel::parallel_for_blocked(0, k, [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) {
-          if (i + kPrefetchAhead < e)
-            prefetch_write(&pri_[ids[i + kPrefetchAhead]]);
-          pri_[ids[i]] = insert_pri_.word(epoch, i);
-        }
-      });
-    }
+    parallel::parallel_for_blocked(0, k, [&](std::size_t b, std::size_t e) {
+      sweep_block(
+          b, e, [&](std::size_t i) { prefetch_write(&pri_[ids[i]]); },
+          [&](std::size_t i) { pri_[ids[i]] = insert_pri_.word(epoch, i); });
+    });
     stats_.samples_created += k;
 
-    // P2: adjacency -- group the flat (endpoint, edge-ref) incidence of the
-    // batch by endpoint; each vertex-group is then applied by one owner, so
-    // appends and live_deg bumps race-free; growth bumps target per-edge
-    // counters shared between groups (fetch-add on the forked strategy).
-    std::span<const EdgeId> bloated =
-        fused ? apply_adjacency_fused(batch, ids) : apply_adjacency(batch, ids);
+    // P2: adjacency -- appends, live_deg and growth bumps per endpoint group.
+    std::span<const EdgeId> bloated = apply_adjacency(batch, ids);
 
     // P3: classify against the pre-batch matching. An edge is a greedy
     // candidate if every endpoint is free, a steal candidate if some
-    // endpoint is taken and its sample beats every match it touches. Fused:
-    // one classify-and-split pass. Forked: one mark pass plus a dual pack
-    // that emits both sets with a single count + scatter.
+    // endpoint is taken and its sample beats every match it touches. One
+    // pass classifies and splits both sets. P2's group apply already pulled
+    // the vertex records and the matched edges' priority lines (apply_group),
+    // so only a block longer than the prefetch window looks ahead.
     charge_phases(3, k);
-    std::span<const EdgeId> candidates, stealers;
-    if (fused) {
-      auto cand = ws_.arena.alloc<EdgeId>(k);
-      auto steal = ws_.arena.alloc<EdgeId>(k);
-      std::size_t nc = 0, nst = 0;
-      // The vertex records AND the matched-edge priority lines are warm:
-      // P2's group apply prefetched pri_[taken_by] for every touched
-      // endpoint (apply_group), so classify runs against resident lines.
-      for (std::size_t i = 0; i < k; ++i) {
-        std::uint8_t c = classify(ids[i]);
-        if (c == 1)
-          cand[nc++] = ids[i];
-        else if (c == 2)
-          steal[nst++] = ids[i];
-      }
-      candidates = {cand.data(), nc};
-      stealers = {steal.data(), nst};
-    } else {
-      auto cls = ws_.arena.alloc<std::uint8_t>(k);
-      parallel::parallel_for_blocked(0, k, [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) {
-          if (i + kPrefetchAhead < e)
-            for (VertexId v : pool_.vertices(ids[i + kPrefetchAhead]))
-              prefetch_read(&vh_[v]);
-          cls[i] = classify(ids[i]);
-        }
-      });
-      auto split = prims::pack_index_split<EdgeId>(
-          k, cls, [&](std::size_t i) { return ids[i]; }, ws_.arena);
-      candidates = split.first;
-      stealers = split.second;
-    }
+    auto [candidates, stealers] = prims::pack_blocks2<EdgeId>(
+        k,
+        [&](std::size_t b, std::size_t e, EdgeId* cand, EdgeId* steal) {
+          std::size_t nc = 0, nst = 0;
+          for (std::size_t i = b; i < e; ++i) {
+            if (i + kPrefetchAhead < e)
+              for (VertexId v : pool_.vertices(ids[i + kPrefetchAhead]))
+                prefetch_read(&vh_[v]);
+            std::uint8_t c = classify(ids[i]);
+            if (c == 1)
+              cand[nc++] = ids[i];
+            else if (c == 2)
+              steal[nst++] = ids[i];
+          }
+          return std::pair{nc, nst};
+        },
+        ws_.arena);
 
     // P4: steal rounds -- winners displace their victims.
     resolve_steals(stealers);
@@ -289,102 +257,87 @@ class DynamicMatcher {
   // Deletes previously returned ids (each must be live).
   void delete_edges(std::span<const EdgeId> ids) {
     begin_batch();
-    stats_.deletes += ids.size();
-    const bool fused = parallel::run_phase_seq(ids.size());
-    if (fused && !ids.empty()) ++stats_.fused_batches;
-    charge_phase(ids.size());
-    std::span<EdgeId> lv;
-    if (fused) {
-      // Sweep the batch's pool records into cache: every later phase of
-      // the delete path reads them. Full sweep for small batches, rolling
-      // window above (an unbounded sweep would evict its own lines).
-      std::size_t sweep = ids.size() <= kSweepSmall ? ids.size() : kPrefetchAhead;
-      for (std::size_t i = 0; i < sweep; ++i) pool_.prefetch_record(ids[i]);
-      auto buf = ws_.arena.alloc<EdgeId>(ids.size());
-      std::size_t n = 0;
-      for (std::size_t i = 0; i < ids.size(); ++i) {
-        if (ids.size() > kSweepSmall && i + kPrefetchAhead < ids.size())
-          pool_.prefetch_record(ids[i + kPrefetchAhead]);
-        if (pool_.live(ids[i])) buf[n++] = ids[i];
-      }
-      lv = buf.first(n);
-    } else {
-      lv = prims::filter(
-          ids, [&](EdgeId id) { return pool_.live(id); }, ws_.arena);
-    }
+    std::size_t k = ids.size();
+    stats_.deletes += k;
+    if (k != 0 && parallel::run_phase_seq(k)) ++stats_.fused_batches;
+    // Liveness filter. Every later phase reads the batch's pool records,
+    // so the scan pulls them into cache as it goes.
+    charge_phase(k);
+    std::span<EdgeId> live = prims::pack_blocks<EdgeId>(
+        k,
+        [&](std::size_t b, std::size_t e, EdgeId* out) {
+          std::size_t w = 0;
+          sweep_block(
+              b, e, [&](std::size_t i) { pool_.prefetch_record(ids[i]); },
+              [&](std::size_t i) {
+                if (pool_.live(ids[i])) out[w++] = ids[i];
+              });
+          return w;
+        },
+        ws_.arena);
     // The same id may legally appear more than once in a batch; deletion
     // order is immaterial, so dedup after an ascending sort.
-    charge_phases(kRadixPhases + 1, lv.size());
-    prims::radix_sort(lv, [](EdgeId e) { return std::uint64_t(e); },
+    charge_phases(kRadixPhases + 1, live.size());
+    prims::radix_sort(live, [](EdgeId e) { return std::uint64_t(e); },
                       id_bits(), ws_.arena);
-    if (fused) {
-      std::size_t m = 0;
-      for (std::size_t i = 0; i < lv.size(); ++i)
-        if (i == 0 || lv[i] != lv[i - 1]) lv[m++] = lv[i];
-      lv = lv.first(m);
-    } else {
-      lv = prims::dedup_sorted(std::span<const EdgeId>(lv), ws_.arena);
-    }
+    std::span<const EdgeId> lv = prims::pack_blocks<EdgeId>(
+        live.size(),
+        [&](std::size_t b, std::size_t e, EdgeId* out) {
+          std::size_t w = 0;
+          for (std::size_t i = b; i < e; ++i)
+            if (i == 0 || live[i] != live[i - 1]) out[w++] = live[i];
+          return w;
+        },
+        ws_.arena);
     if (lv.empty()) {
       finish_batch();
       return;
     }
 
     // Rank sum (work accounting), victim scan, and live_deg decrements are
-    // three logical phases; the fused strategy executes them as ONE pass
-    // over the batch (their fields are disjoint, matched edges are
-    // vertex-disjoint, and the victim test reads only taken_by, which the
-    // pass never writes -- so any interleaving computes the same state).
-    charge_phases(2, lv.size());  // rank map + reduce
-    charge_phase(lv.size());      // victim scan
-    std::span<const EdgeId> victims;
-    if (fused) {
-      auto buf = ws_.arena.alloc<EdgeId>(lv.size());
-      std::size_t n = 0, sum = 0;
-      std::size_t sweep = lv.size() <= kSweepSmall ? lv.size() : kPrefetchAhead;
-      for (std::size_t i = 0; i < sweep; ++i)
-        for (VertexId v : pool_.vertices(lv[i])) prefetch_write(&vh_[v]);
-      for (std::size_t i = 0; i < lv.size(); ++i) {
-        if (lv.size() > kSweepSmall && i + kPrefetchAhead < lv.size())
-          for (VertexId v : pool_.vertices(lv[i + kPrefetchAhead]))
-            prefetch_write(&vh_[v]);
-        EdgeId e = lv[i];
-        auto vs = pool_.vertices(e);
-        sum += vs.size();
-        bool is_victim = vh_[vs[0]].taken_by == e;
-        for (VertexId v : vs) --vh_[v].live_deg;
-        if (is_victim) buf[n++] = e;
-      }
-      stats_.work_units += sum;
-      victims = {buf.data(), n};
-      charge_phase(lv.size());  // live_deg decrements (fused above)
-      unmatch_all(victims);
-    } else {
-      // Blocked map + reduce: a single shared atomic would serialize the
-      // phase on one cache line.
-      auto ranks = ws_.arena.alloc<std::size_t>(lv.size());
-      parallel::parallel_for(0, lv.size(), [&](std::size_t i) {
-        ranks[i] = pool_.rank(lv[i]);
-      });
-      stats_.work_units +=
-          prims::reduce(std::span<const std::size_t>(ranks), ws_.arena);
-      // Deleted matches free their vertices (matched edges are disjoint,
-      // so the victim set needs no dedup).
-      victims = prims::filter(
-          std::span<const EdgeId>(lv),
-          [&](EdgeId e) { return vh_[pool_.vertices(e)[0]].taken_by == e; },
-          ws_.arena);
-      unmatch_all(victims);
-      // live_deg decrements: an endpoint may lose several edges of this
-      // batch, hence fetch-sub rather than per-vertex ownership.
-      charge_phase(lv.size());
-      parallel::parallel_for(0, lv.size(), [&](std::size_t i) {
-        for (VertexId v : pool_.vertices(lv[i]))
-          std::atomic_ref<std::uint32_t>(vh_[v].live_deg)
-              .fetch_sub(1, std::memory_order_relaxed);
-      });
-    }
-    charge_phase(lv.size());
+    // three logical phases run as ONE pass over the batch: their fields
+    // are disjoint, matched edges are vertex-disjoint, and the victim test
+    // reads only taken_by, which the pass never writes -- so any
+    // interleaving computes the same state. An endpoint may lose several
+    // edges of this batch, hence fetch-sub when the blocks fork.
+    std::size_t n = lv.size();
+    charge_phases(2, n);  // rank map + reduce
+    charge_phase(n);      // victim scan
+    charge_phase(n);      // live_deg decrements
+    const bool seq = parallel::run_phase_seq(n);
+    std::size_t rank_sum = 0;
+    std::span<const EdgeId> victims = prims::pack_blocks<EdgeId>(
+        n,
+        [&](std::size_t b, std::size_t e, EdgeId* out) {
+          std::size_t w = 0, sum = 0;
+          sweep_block(
+              b, e,
+              [&](std::size_t i) {
+                for (VertexId v : pool_.vertices(lv[i]))
+                  prefetch_write(&vh_[v]);
+              },
+              [&](std::size_t i) {
+                EdgeId d = lv[i];
+                auto vs = pool_.vertices(d);
+                sum += vs.size();
+                if (vh_[vs[0]].taken_by == d) out[w++] = d;
+                for (VertexId v : vs) {
+                  if (seq)
+                    --vh_[v].live_deg;
+                  else
+                    std::atomic_ref<std::uint32_t>(vh_[v].live_deg)
+                        .fetch_sub(1, std::memory_order_relaxed);
+                }
+              });
+          add_block_sum(rank_sum, sum, seq);
+          return w;
+        },
+        ws_.arena);
+    stats_.work_units += rank_sum;
+    // Deleted matches free their vertices (matched edges are disjoint, so
+    // the victim set needs no dedup).
+    unmatch_all(victims);
+    charge_phase(n);
     pool_.remove_edges(lv);
     settle();
     finish_batch();
@@ -678,6 +631,33 @@ class DynamicMatcher {
   // than the window) -- the batched-miss pattern of DESIGN.md S11.
   static constexpr std::size_t kSweepSmall = 32;
 
+  // One block's scan under that pattern: prefetch(i) pulls item i's lines,
+  // visit(i) uses them. A block of at most kSweepSmall items prefetches
+  // all of them up front; a longer one primes kPrefetchAhead items and
+  // then stays kPrefetchAhead ahead of the visits.
+  template <typename Prefetch, typename Visit>
+  static void sweep_block(std::size_t b, std::size_t e, Prefetch&& prefetch,
+                          Visit&& visit) {
+    const bool small = e - b <= kSweepSmall;
+    std::size_t head = small ? e : b + kPrefetchAhead;
+    for (std::size_t i = b; i < head; ++i) prefetch(i);
+    for (std::size_t i = b; i < e; ++i) {
+      if (!small && i + kPrefetchAhead < e) prefetch(i + kPrefetchAhead);
+      visit(i);
+    }
+  }
+
+  // Adds one block's partial sum into a phase total: plain memory when the
+  // phase runs inline, a fetch-add when its blocks fork. `seq` must be
+  // parallel::run_phase_seq of the phase's own n.
+  static void add_block_sum(std::size_t& total, std::size_t x, bool seq) {
+    if (seq)
+      total += x;
+    else
+      std::atomic_ref<std::size_t>(total).fetch_add(
+          x, std::memory_order_relaxed);
+  }
+
   // Shared 32-bit radix-sort charge (prims/radix_sort.h); 64-bit sorts
   // charge 2x.
   static constexpr std::size_t kRadixPhases = prims::kRadixSortPhases32;
@@ -736,25 +716,17 @@ class DynamicMatcher {
   // paths.
   void commit_matches(std::span<const EdgeId> winners) {
     charge_phase(winners.size());
-    if (winners.size() <= kSweepSmall && parallel::run_phase_seq(winners.size())) {
-      for (EdgeId f : winners) {
-        prefetch_write(&ehot_[f]);
-        for (VertexId v : pool_.vertices(f)) prefetch_write(&vh_[v]);
-      }
-      for (EdgeId e : winners) commit_arrays(e);
-    } else {
-      parallel::parallel_for_blocked(
-          0, winners.size(), [&](std::size_t b, std::size_t e) {
-            for (std::size_t i = b; i < e; ++i) {
-              if (i + kPrefetchAhead < e) {
-                EdgeId f = winners[i + kPrefetchAhead];
+    parallel::parallel_for_blocked(
+        0, winners.size(), [&](std::size_t b, std::size_t e) {
+          sweep_block(
+              b, e,
+              [&](std::size_t i) {
+                EdgeId f = winners[i];
                 prefetch_write(&ehot_[f]);
                 for (VertexId v : pool_.vertices(f)) prefetch_write(&vh_[v]);
-              }
-              commit_arrays(winners[i]);
-            }
-          });
-    }
+              },
+              [&](std::size_t i) { commit_arrays(winners[i]); });
+        });
     for (EdgeId e : winners) matched_add(e);
     if (delta_sink_)
       for (EdgeId e : winners)
@@ -785,11 +757,11 @@ class DynamicMatcher {
 
   // ---- insert phases ---------------------------------------------------
 
-  // The per-vertex-group body of insert P2, shared by both execution
-  // strategies: amortized owner-side compaction, adjacency appends,
-  // live_deg bump, and the bloat-threshold crossing check. `ref_at(j)` is
-  // the j-th packed edge-ref of this group; `comp_scanned` reports the
-  // compaction scan length; `bloat_out` the (unique) bloated match this
+  // The per-vertex-group body of insert P2: amortized owner-side
+  // compaction, adjacency appends, live_deg bump, and the bloat-threshold
+  // crossing check. `ref_at(j)` is the j-th packed edge-ref of this group;
+  // `seq` is whether the group phase runs inline; `comp_scanned` reports
+  // the compaction scan length; `bloat_out` the (unique) bloated match this
   // group observed crossing, or kInvalid.
   template <typename RefAt>
   void apply_group(VertexId v, std::uint32_t cnt, RefAt&& ref_at, bool seq,
@@ -831,174 +803,80 @@ class DynamicMatcher {
     if (before <= h.threshold && before + cnt > h.threshold) bloat_out = t;
   }
 
-  // P2 of insert_edges, forked strategy: semisort the batch incidence by
-  // endpoint and let one owner per vertex-group apply the shared group
-  // body. Returns the bloated edges in ascending id order, so downstream
-  // processing is schedule-independent.
+  // P2 of insert_edges: fill the batch's flat (endpoint, edge-ref)
+  // incidence, group it by endpoint, and let one owner per vertex-group
+  // apply apply_group, so appends and live_deg bumps are race-free; growth
+  // bumps target per-edge counters shared between groups (fetch-add when
+  // the groups fork). Group ORDER is free: appends, live_deg, and
+  // compaction triggers are per-vertex; growth is an order-independent sum
+  // whose threshold crossing fires exactly once in any accumulation order;
+  // and the bloated set is returned sorted by id, so downstream processing
+  // is schedule-independent.
   std::span<const EdgeId> apply_adjacency(const graph::EdgeBatch& batch,
                                           std::span<const EdgeId> ids) {
     std::size_t k = ids.size();
     std::size_t total = batch.total_cardinality();
-    auto offs = ws_.arena.alloc<std::uint32_t>(k);
-    charge_phase(k);
-    parallel::parallel_for(
-        0, k, [&](std::size_t i) {
-          offs[i] = static_cast<std::uint32_t>(batch.edge(i).size());
-        });
-    charge_phases(2, k);  // scan = up-sweep + down-sweep
-    prims::scan_exclusive(offs, ws_.arena);
-    auto gkeys = ws_.arena.alloc<VertexId>(total);
-    auto gvals = ws_.arena.alloc<std::uint64_t>(total);
-    charge_phase(total);
-    parallel::parallel_for(0, k, [&](std::size_t i) {
-      auto vs = batch.edge(i);
-      std::uint64_t ref = pool_.packed_ref(ids[i]);
-      std::uint32_t base = offs[i];
-      for (std::size_t j = 0; j < vs.size(); ++j) {
-        gkeys[base + j] = vs[j];
-        gvals[base + j] = ref;
+    // The batch's own CSR offsets are the scanned per-edge offsets.
+    charge_phase(k);      // offsets fill
+    charge_phases(2, k);  // offsets scan
+    charge_phase(total);  // flat (endpoint, ref) fill
+    auto pairs =
+        ws_.arena.alloc<prims::KeyValue<VertexId, std::uint64_t>>(total);
+    parallel::parallel_for_blocked(0, k, [&](std::size_t b, std::size_t e) {
+      std::size_t pos = batch.offset(b);
+      for (std::size_t i = b; i < e; ++i) {
+        std::uint64_t ref = pool_.packed_ref(ids[i]);
+        for (VertexId v : batch.edge(i)) {
+          // Batched-miss sweep, issued before the grouping so the vertex
+          // records (which embed the adjacency headers) land while it runs.
+          prefetch_write(&vh_[v]);
+          pairs[pos++] = {v, ref};
+        }
       }
     });
     charge_phases(group_by_phases(pool_.vertex_bound()), total);
-    auto groups = prims::group_by<VertexId, std::uint64_t>(
-        gkeys, gvals, ws_.arena, pool_.vertex_bound());
+    auto groups = prims::group_by(pairs, ws_.arena, pool_.vertex_bound());
 
     std::size_t ng = groups.num_groups();
-    // Slab headroom for the appends below, sized before the parallel phase
-    // so chunk allocation is a pure bump (graph/adjacency.h).
+    // Slab headroom for the appends below, sized before the group phase so
+    // chunk allocation is a pure bump (graph/adjacency.h).
     adj_.reserve_for(total, ng);
-    auto bloat_mark = ws_.arena.alloc<EdgeId>(ng);
-    auto comp_scan = ws_.arena.alloc<std::size_t>(ng);
     charge_phases(2, ng);  // group apply + compaction-scan reduce
+    charge_phase(ng);      // bloated-match filter
     const bool seq = parallel::run_phase_seq(ng);
-    parallel::parallel_for(0, ng, [&](std::size_t g) {
-      auto vals = groups.group(g);
-      apply_group(
-          groups.keys[g], static_cast<std::uint32_t>(vals.size()),
-          [&](std::size_t j) { return vals[j]; }, seq, comp_scan[g],
-          bloat_mark[g]);
-    });
-    stats_.work_units +=
-        prims::reduce(std::span<const std::size_t>(comp_scan), ws_.arena);
-    charge_phase(ng);
-    auto bloated = prims::filter(
-        std::span<const EdgeId>(bloat_mark),
-        [](EdgeId e) { return e != kInvalid; }, ws_.arena);
+    std::size_t comp_total = 0;
+    std::span<EdgeId> bloated = prims::pack_blocks<EdgeId>(
+        ng,
+        [&](std::size_t b, std::size_t e, EdgeId* out) {
+          std::size_t w = 0, comp_sum = 0;
+          for (std::size_t g = b; g < e; ++g) {
+            // The append cursor line needs the (now resident) header to
+            // locate; the bloat counter of the next groups' matches needs
+            // their (resident) vertex records.
+            if (g + 4 < e)
+              adj_.prefetch_append_target(vh_[groups.key(g + 4)].adj);
+            if (g + 3 < e) {
+              EdgeId t = vh_[groups.key(g + 3)].taken_by;
+              if (t != kInvalid) prefetch_write(&ehot_[t]);
+            }
+            auto refs = groups.group(g);
+            std::size_t comp = 0;
+            EdgeId bm = kInvalid;
+            apply_group(
+                groups.key(g), static_cast<std::uint32_t>(refs.size()),
+                [&](std::size_t j) { return refs[j]; }, seq, comp, bm);
+            comp_sum += comp;
+            if (bm != kInvalid) out[w++] = bm;
+          }
+          add_block_sum(comp_total, comp_sum, seq);
+          return w;
+        },
+        ws_.arena);
+    stats_.work_units += comp_total;
     charge_phases(kRadixPhases, bloated.size());
     prims::radix_sort(bloated, [](EdgeId e) { return std::uint64_t(e); },
                       id_bits(), ws_.arena);
     return bloated;
-  }
-
-  // P2 of insert_edges, fused strategy: the same logical phases as
-  // apply_adjacency -- identical charges, identical resulting state --
-  // executed as direct loops, no scan/semisort staging/pack machinery.
-  // Group ORDER is free: appends, live_deg, and compaction triggers are
-  // per-vertex; growth is an order-independent sum whose threshold
-  // crossing fires exactly once in any accumulation order; and the bloated
-  // set is sorted by id before use. (The forked path already exploits
-  // this: its groups are applied in whatever order the scheduler picks.)
-  // So small batches group by first-occurrence bucketing -- two linear
-  // passes, no sort at all -- and only large fused batches (forced
-  // sequential mode) fall back to the stable pair sort.
-  std::span<const EdgeId> apply_adjacency_fused(const graph::EdgeBatch& batch,
-                                                std::span<const EdgeId> ids) {
-    std::size_t k = ids.size();
-    std::size_t total = batch.total_cardinality();
-    charge_phase(k);      // (offsets fill)
-    charge_phases(2, k);  // (offsets scan)
-    charge_phase(total);  // flat (endpoint, ref) fill
-    struct Pair {
-      VertexId v;
-      std::uint64_t ref;
-    };
-    auto pairs = ws_.arena.alloc<Pair>(total);
-    std::size_t idx = 0;
-    for (std::size_t i = 0; i < k; ++i) {
-      std::uint64_t ref = pool_.packed_ref(ids[i]);
-      for (VertexId v : batch.edge(i)) {
-        // Batched-miss sweep, issued before the grouping below so the
-        // vertex records (which embed the adjacency headers) land while
-        // it runs.
-        prefetch_write(&vh_[v]);
-        pairs[idx++] = Pair{v, ref};
-      }
-    }
-    charge_phases(group_by_phases(pool_.vertex_bound()), total);
-    // Group starts[g] .. starts[g+1] delimit each group's refs in `refs`.
-    auto gverts = ws_.arena.alloc<VertexId>(total);
-    auto starts = ws_.arena.alloc<std::uint32_t>(total + 1);
-    auto refs = ws_.arena.alloc<std::uint64_t>(total);
-    std::size_t ng = 0;
-    if (total <= 64) {
-      // First-occurrence bucketing: gather distinct vertices and counts
-      // with linear probes (total is tiny), then segment the refs.
-      auto cnt = ws_.arena.alloc<std::uint32_t>(total);
-      auto slot_of = ws_.arena.alloc<std::uint32_t>(total);
-      for (std::size_t i = 0; i < total; ++i) {
-        VertexId v = pairs[i].v;
-        std::size_t g = 0;
-        while (g < ng && gverts[g] != v) ++g;
-        if (g == ng) {
-          gverts[ng] = v;
-          cnt[ng++] = 0;
-        }
-        slot_of[i] = static_cast<std::uint32_t>(g);
-        ++cnt[g];
-      }
-      std::uint32_t off = 0;
-      for (std::size_t g = 0; g < ng; ++g) {
-        starts[g] = off;
-        off += cnt[g];
-        cnt[g] = starts[g];  // reuse as the group's write cursor
-      }
-      starts[ng] = off;
-      for (std::size_t i = 0; i < total; ++i)
-        refs[cnt[slot_of[i]]++] = pairs[i].ref;
-    } else {
-      prims::radix_sort(
-          std::span<Pair>(pairs),
-          [](const Pair& p) { return static_cast<std::uint64_t>(p.v); },
-          std::bit_width(static_cast<std::uint64_t>(pool_.vertex_bound()) | 1),
-          ws_.arena);
-      for (std::size_t i = 0; i < total; ++i) {
-        if (i == 0 || pairs[i].v != pairs[i - 1].v) {
-          gverts[ng] = pairs[i].v;
-          starts[ng++] = static_cast<std::uint32_t>(i);
-        }
-        refs[i] = pairs[i].ref;
-      }
-      starts[ng] = static_cast<std::uint32_t>(total);
-    }
-    adj_.reserve_for(total, ng);
-    charge_phases(2, ng);
-    auto bloat = ws_.arena.alloc<EdgeId>(ng);
-    std::size_t nb = 0, comp_total = 0;
-    for (std::size_t g = 0; g < ng; ++g) {
-      // The append cursor line needs the (now resident) header to locate;
-      // the bloat counter of the next groups' matches needs their
-      // (resident) vertex records.
-      if (g + 4 < ng) adj_.prefetch_append_target(vh_[gverts[g + 4]].adj);
-      if (g + 3 < ng) {
-        EdgeId t = vh_[gverts[g + 3]].taken_by;
-        if (t != kInvalid) prefetch_write(&ehot_[t]);
-      }
-      std::size_t s = starts[g];
-      std::size_t comp = 0;
-      EdgeId bm = kInvalid;
-      apply_group(
-          gverts[g], starts[g + 1] - starts[g],
-          [&](std::size_t j) { return refs[s + j]; }, true, comp, bm);
-      comp_total += comp;
-      if (bm != kInvalid) bloat[nb++] = bm;
-    }
-    stats_.work_units += comp_total;
-    charge_phase(ng);
-    charge_phases(kRadixPhases, nb);
-    auto bl = std::span<EdgeId>(bloat.data(), nb);
-    prims::radix_sort(bl, [](EdgeId e) { return std::uint64_t(e); },
-                      id_bits(), ws_.arena);
-    return bl;
   }
 
   // P3 body: 0 = blocked, 1 = all-free greedy candidate, 2 = steal
@@ -1121,26 +999,24 @@ class DynamicMatcher {
   void run_greedy(std::span<const EdgeId> candidates) {
     if (candidates.empty()) return;
     charge_phase(candidates.size());
-    if (parallel::run_phase_seq(candidates.size())) {
-      auto keep = ws_.arena.alloc<EdgeId>(candidates.size());
-      std::size_t nk = 0;
-      for (EdgeId e : candidates)
-        if (all_endpoints_free(e)) keep[nk++] = e;
-      candidates = {keep.data(), nk};
-    } else {
-      candidates = prims::filter_marked(
-          candidates, [&](EdgeId e) { return all_endpoints_free(e); },
-          ws_.arena);
-    }
-    if (candidates.empty()) return;
+    std::span<const EdgeId> still_free = prims::pack_blocks<EdgeId>(
+        candidates.size(),
+        [&](std::size_t b, std::size_t e, EdgeId* out) {
+          std::size_t w = 0;
+          for (std::size_t i = b; i < e; ++i)
+            if (all_endpoints_free(candidates[i])) out[w++] = candidates[i];
+          return w;
+        },
+        ws_.arena);
+    if (still_free.empty()) return;
     ws_.matched.clear();
     std::size_t retries = 0;
     std::size_t rounds = matching::greedy_match_rounds(
-        pool_, candidates, [&](EdgeId e) { return pri_[e]; }, vh_,
+        pool_, still_free, [&](EdgeId e) { return pri_[e]; }, vh_,
         &ws_.matched, ws_.arena, &stats_.work_units, &batch_.measured_depth,
         &retries);
     batch_.parallel_phases +=
-        (candidates.size() > 1 ? matching::kGreedySortPhases : 0) +
+        (still_free.size() > 1 ? matching::kGreedySortPhases : 0) +
         prims::kSpecRoundPhases * rounds;
     batch_.spec_retries += retries;
     stats_.spec_retries += retries;
@@ -1311,70 +1187,43 @@ class DynamicMatcher {
     if (ws_.cand_pool.size() < total) ws_.cand_pool.resize(total);
 
     charge_phase(np);
+    const bool seq = parallel::run_phase_seq(np);
     std::size_t scanned_total = 0;
     auto peek_entry = [&](std::uint64_t entry) {
       pool_.prefetch_record(graph::EdgePool::ref_id(entry));
     };
-    if (parallel::run_phase_seq(np)) {
-      const bool sweep_all = np <= kSweepSmall;
+    parallel::parallel_for_blocked(0, np, [&](std::size_t b, std::size_t e) {
+      const bool sweep_all = e - b <= kSweepSmall;
       if (sweep_all) {
-        for (std::size_t i = 0; i < np; ++i) prefetch_read(&vh_[pending[i]]);
-        for (std::size_t i = 0; i < np; ++i)
+        for (std::size_t i = b; i < e; ++i) prefetch_read(&vh_[pending[i]]);
+        for (std::size_t i = b; i < e; ++i)
           if (vh_[pending[i]].free()) adj_.prefetch_chain(vh_[pending[i]].adj);
-        for (std::size_t i = 0; i < np; ++i)
+        for (std::size_t i = b; i < e; ++i)
           if (vh_[pending[i]].free())
             adj_.peek_prefix(vh_[pending[i]].adj,
                              graph::ChunkedAdjacency::kPeekAhead, peek_entry);
       }
-      for (std::size_t i = 0; i < np; ++i) {
+      std::size_t scanned = 0;
+      for (std::size_t i = b; i < e; ++i) {
         if (!sweep_all) {
-          if (i + kPrefetchAhead < np)
+          if (i + kPrefetchAhead < e)
             prefetch_read(&vh_[pending[i + kPrefetchAhead]]);
-          if (i + kPrefetchAhead / 2 < np) {
+          if (i + kPrefetchAhead / 2 < e) {
             const auto& f = vh_[pending[i + kPrefetchAhead / 2]];
             if (f.free()) adj_.prefetch_chain(f.adj);
           }
-          if (i + 1 < np && vh_[pending[i + 1]].free())
+          if (i + 1 < e && vh_[pending[i + 1]].free())
             adj_.peek_prefix(vh_[pending[i + 1]].adj,
                              graph::ChunkedAdjacency::kPeekAhead, peek_entry);
         }
         VertexId v = pending[i];
         if (vh_[v].taken_by == kInvalid)
-          scanned_total += harvest_candidates(i, v);
+          scanned += harvest_candidates(i, v);
         else
           ws_.cand_len[i] = 0;
       }
-    } else {
-      std::size_t grain = parallel::default_grain(np);
-      std::size_t blocks = (np + grain - 1) / grain;
-      auto scn = ws_.arena.alloc<std::size_t>(blocks);
-      std::fill(scn.begin(), scn.end(), std::size_t{0});
-      parallel::parallel_for_blocked(
-          0, np,
-          [&](std::size_t b, std::size_t e) {
-            std::size_t s = 0;
-            for (std::size_t i = b; i < e; ++i) {
-              if (i + kPrefetchAhead < e)
-                prefetch_read(&vh_[pending[i + kPrefetchAhead]]);
-              if (i + kPrefetchAhead / 2 < e) {
-                const auto& f = vh_[pending[i + kPrefetchAhead / 2]];
-                if (f.free()) adj_.prefetch_chain(f.adj);
-              }
-              if (i + 1 < e && vh_[pending[i + 1]].free())
-                adj_.peek_prefix(vh_[pending[i + 1]].adj,
-                                 graph::ChunkedAdjacency::kPeekAhead,
-                                 peek_entry);
-              VertexId v = pending[i];
-              if (vh_[v].taken_by == kInvalid)
-                s += harvest_candidates(i, v);
-              else
-                ws_.cand_len[i] = 0;
-            }
-            scn[b / grain] += s;
-          },
-          grain);
-      for (std::size_t b = 0; b < blocks; ++b) scanned_total += scn[b];
-    }
+      add_block_sum(scanned_total, scanned, seq);
+    });
     stats_.work_units += scanned_total;
 
     auto choice = ws_.arena.alloc<EdgeId>(np);

@@ -27,13 +27,17 @@ struct CumulativeStats {
   std::size_t bloated = 0;          // matches resettled because their
                                     // neighborhood outgrew the level bound
   std::size_t max_batch_depth = 0;  // deepest measured batch span so far
-  std::size_t fused_batches = 0;    // batches the cost model ran on the
-                                    // fused sequential fast path. Execution
-                                    // diagnostics only: this is the ONE
-                                    // counter that legitimately differs
-                                    // across PARMATCH_EXEC_MODE settings
-                                    // (tests/test_exec_modes.cpp excludes
-                                    // it from the bit-identical contract).
+  std::size_t fused_batches = 0;    // non-empty batches whose size k is
+                                    // below the cost model's cutover
+                                    // (parallel::run_phase_seq(k)), so
+                                    // their phases run inline; perfbench
+                                    // reports the share as fused_frac.
+                                    // Execution diagnostics only: this is
+                                    // the ONE counter that legitimately
+                                    // differs across PARMATCH_EXEC_MODE
+                                    // settings (tests/test_exec_modes.cpp
+                                    // excludes it from the bit-identical
+                                    // contract).
 
   std::size_t total_updates() const { return inserts + deletes; }
 };

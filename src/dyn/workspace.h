@@ -15,11 +15,10 @@
 // Spans handed out by the arena are dead at those points by construction of
 // the phase order; cross-batch state rides in the named vectors.
 //
-// Both execution strategies of the adaptive engine (DESIGN.md S11) draw
-// from the same workspace: the fused sequential fast path carves its pair
-// staging, class splits, and settle draws out of the identical arena the
-// forked phases would have used, so the zero-allocation contract holds for
-// every PARMATCH_EXEC_MODE.
+// Both executions of a phase body (DESIGN.md S11) draw from the same
+// workspace: an inline block carves its pair staging, class splits, and
+// settle draws out of the identical arena the forked blocks use, so the
+// zero-allocation contract holds for every PARMATCH_EXEC_MODE.
 #pragma once
 
 #include <cstddef>

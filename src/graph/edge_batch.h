@@ -45,6 +45,10 @@ class EdgeBatch {
             verts_.data() + offsets_[i + 1]};
   }
 
+  // Position of edge i's first vertex in the flat vertex array: the
+  // exclusive prefix sum of the ranks before it.
+  std::size_t offset(std::size_t i) const { return offsets_[i]; }
+
   // m' in the paper's bounds: the sum of edge ranks.
   std::size_t total_cardinality() const { return verts_.size(); }
 

@@ -7,7 +7,7 @@
 //
 //  * ExecMode -- the process-wide execution policy. kAdaptive (default)
 //    consults the calibrated cost model per phase; kSequential forces every
-//    phase inline (the fused fast path everywhere); kParallel forces the
+//    phase inline (one block per phase body); kParallel forces the
 //    work-stealing path regardless of size. Resolved once from
 //    PARMATCH_EXEC_MODE ("adaptive" | "seq"/"sequential" |
 //    "par"/"parallel"); set_exec_mode() overrides it programmatically
@@ -75,14 +75,6 @@ inline std::atomic<int>& exec_mode_slot() {
 inline ExecMode exec_mode() {
   return static_cast<ExecMode>(
       detail::exec_mode_slot().load(std::memory_order_relaxed));
-}
-
-// Programmatic override; takes effect for every subsequent phase. Changing
-// the mode never changes results, so tests flip it mid-process to compare
-// execution paths on one structure.
-inline void set_exec_mode(ExecMode m) {
-  detail::exec_mode_slot().store(static_cast<int>(m),
-                                 std::memory_order_relaxed);
 }
 
 class CostModel {
@@ -217,24 +209,47 @@ class CostModel {
   volatile std::uint32_t sink_ = 0;  // keeps the probe loops observable
 };
 
+namespace detail {
+
+// run_phase_seq's answer for every n, folded into one bound: a phase of n
+// items runs inline iff n <= the bound. Unbounded on a 1-worker pool and in
+// sequential mode, 0 in parallel mode, the calibrated cutover in adaptive
+// mode. Phase bodies ask the question several times per batch, so it is one
+// load, not a walk over three lazily built singletons.
+inline std::size_t inline_phase_bound(ExecMode m) {
+  if (num_workers() == 1 || m == ExecMode::kSequential)
+    return static_cast<std::size_t>(-1);
+  if (m == ExecMode::kParallel) return 0;
+  return CostModel::instance().phase_cutover();
+}
+
+inline std::atomic<std::size_t>& inline_phase_bound_slot() {
+  static std::atomic<std::size_t> bound{inline_phase_bound(exec_mode())};
+  return bound;
+}
+
+}  // namespace detail
+
+// Programmatic override; takes effect for every subsequent phase. Changing
+// the mode never changes results, so tests flip it mid-process to compare
+// execution paths on one structure.
+inline void set_exec_mode(ExecMode m) {
+  detail::exec_mode_slot().store(static_cast<int>(m),
+                                 std::memory_order_relaxed);
+  detail::inline_phase_bound_slot().store(detail::inline_phase_bound(m),
+                                          std::memory_order_relaxed);
+}
+
 // The per-phase decision: true when a phase of n items runs inline on the
 // calling thread (so plain-memory fallbacks are safe), false when it takes
 // the work-stealing path. parallel_for consults this internally; phase
 // bodies that branch on it must pass the SAME n as their loop bound. The
 // answer depends only on n, the mode and the calibrated cutover -- never on
 // what other threads are doing -- so a body and the parallel_for it then
-// calls always agree.
+// calls always agree. (An empty phase counts as inline in every mode; no
+// primitive runs one.)
 inline bool run_phase_seq(std::size_t n) {
-  if (num_workers() == 1) return true;
-  switch (exec_mode()) {
-    case ExecMode::kSequential:
-      return true;
-    case ExecMode::kParallel:
-      return false;
-    case ExecMode::kAdaptive:
-    default:
-      return n <= CostModel::instance().phase_cutover();
-  }
+  return n <= detail::inline_phase_bound_slot().load(std::memory_order_relaxed);
 }
 
 // The per-round decision for the deterministic-reservations engine

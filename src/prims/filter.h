@@ -1,15 +1,19 @@
 // prims/filter.h -- stable parallel pack/filter (DESIGN.md S3): the
-// primitive behind every "keep the still-active edges" step in the greedy
-// rounds (matching/parallel_greedy.h) and the settle loop.
+// primitive behind every "keep the still-active items" step of a batch.
 //
-// Two families: the vector-returning originals, and allocation-free
-// variants that carve output and block-count scratch out of a caller
-// ScratchArena (DESIGN.md S7's zero-allocation batch contract). pack_index
-// is the generic core -- filter, dedup_sorted and the matcher's
-// index-space packs are all instances of it.
+// Two families. The vector-returning filter (cold paths and tests) counts,
+// scans and scatters over a keep predicate. pack_blocks, the matcher's
+// form, hands the caller's body whole [b, e) blocks: the body scans its
+// block once, may update state as it goes, and writes its kept items in
+// order. Whether the phase runs as one inline block or as forked blocks is
+// decided here, from parallel::run_phase_seq(n), so a phase written over a
+// block has one body for both executions; its output and staging come
+// from a caller ScratchArena (DESIGN.md S7's zero-allocation batch
+// contract).
 //
 // Complexity contract: O(n) work, O(P + n/P) span, output order preserved
-// (count + scan + scatter, so results are deterministic across P).
+// (per-block counts + scan + placement, so results are deterministic
+// across P).
 #pragma once
 
 #include <algorithm>
@@ -66,143 +70,100 @@ void pack_scatter(std::size_t n, std::size_t grain,
       grain);
 }
 
-}  // namespace detail
-
-// Packs map(i) for every index i in [0, n) with keep(i), order preserved.
-// Output and scratch live in the arena.
-template <typename T, typename KeepFn, typename MapFn>
-std::span<T> pack_index(std::size_t n, KeepFn&& keep, MapFn&& map,
-                        ScratchArena& arena) {
-  if (n == 0) return {};
-  std::size_t grain = parallel::default_grain(n);
-  std::size_t blocks = (n + grain - 1) / grain;
-  auto count = arena.alloc<std::size_t>(blocks);
-  std::size_t total = detail::pack_offsets(n, grain, count, keep);
+// Forked half of pack_blocks: block i of [0, n) left count[i] items at
+// staging + i * grain. Turns the counts into output offsets and copies
+// each slice into place, forking on the same blocks.
+template <typename T>
+std::span<T> place_blocks(std::size_t n, std::size_t grain,
+                          std::span<std::size_t> count, const T* staging,
+                          ScratchArena& arena) {
+  std::size_t total = 0;
+  for (std::size_t& c : count) {
+    std::size_t k = c;
+    c = total;
+    total += k;
+  }
   auto out = arena.alloc<T>(total);
-  detail::pack_scatter(n, grain, count, out.data(), keep, map);
+  parallel::parallel_for_blocked(
+      0, n,
+      [&](std::size_t b, std::size_t) {
+        std::size_t i = b / grain;
+        std::size_t end = i + 1 < count.size() ? count[i + 1] : total;
+        std::copy(staging + b, staging + b + (end - count[i]),
+                  out.data() + count[i]);
+      },
+      grain);
   return out;
 }
 
-// Arena filter: keep(in[i]) elements, order preserved.
-template <typename T, typename Pred>
-std::span<T> filter(std::span<const T> in, Pred&& keep, ScratchArena& arena) {
-  return pack_index<T>(
-      in.size(), [&](std::size_t i) { return keep(in[i]); },
-      [&](std::size_t i) { return in[i]; }, arena);
+// The forked halves of pack_blocks / pack_blocks2, kept out of their
+// inline fast path so that path stays small enough to inline at its call
+// sites.
+template <typename T, typename Body>
+std::span<T> pack_forked(std::size_t n, Body& body, ScratchArena& arena) {
+  std::size_t grain = parallel::default_grain(n);
+  auto staging = arena.alloc<T>(n);
+  auto count = arena.alloc<std::size_t>((n + grain - 1) / grain);
+  parallel::parallel_for_blocked(
+      0, n,
+      [&](std::size_t b, std::size_t e) {
+        count[b / grain] = body(b, e, staging.data() + b);
+      },
+      grain);
+  return place_blocks<T>(n, grain, count, staging.data(), arena);
 }
 
-// Dual pack over one keep predicate: map_a(i) goes to the reusable vector
-// out_a, map_b(i) to the returned arena span, both order-preserving and
-// written by ONE count + ONE scatter (the settle loop's survivors/samples
-// split). Cheaper than two pack_index calls whenever the keep sets match.
-template <typename A, typename B, typename KeepFn, typename MapAFn,
-          typename MapBFn>
-std::span<B> pack_index2(std::size_t n, KeepFn&& keep, MapAFn&& map_a,
-                         std::vector<A>& out_a, MapBFn&& map_b,
-                         ScratchArena& arena) {
-  out_a.clear();
-  if (n == 0) return {};
+template <typename T, typename Body>
+std::pair<std::span<T>, std::span<T>> pack2_forked(std::size_t n, Body& body,
+                                                   ScratchArena& arena) {
   std::size_t grain = parallel::default_grain(n);
   std::size_t blocks = (n + grain - 1) / grain;
-  auto count = arena.alloc<std::size_t>(blocks);
-  std::size_t total = detail::pack_offsets(n, grain, count, keep);
-  out_a.resize(total);
-  auto out_b = arena.alloc<B>(total);
+  auto staging1 = arena.alloc<T>(n);
+  auto staging2 = arena.alloc<T>(n);
+  auto count1 = arena.alloc<std::size_t>(blocks);
+  auto count2 = arena.alloc<std::size_t>(blocks);
   parallel::parallel_for_blocked(
       0, n,
       [&](std::size_t b, std::size_t e) {
-        std::size_t pos = count[b / grain];
-        for (std::size_t i = b; i < e; ++i)
-          if (keep(i)) {
-            out_a[pos] = map_a(i);
-            out_b[pos] = map_b(i);
-            ++pos;
-          }
+        auto [c1, c2] = body(b, e, staging1.data() + b, staging2.data() + b);
+        count1[b / grain] = c1;
+        count2[b / grain] = c2;
       },
       grain);
-  return out_b;
+  return {place_blocks<T>(n, grain, count1, staging1.data(), arena),
+          place_blocks<T>(n, grain, count2, staging2.data(), arena)};
 }
 
-// Fused dual-class pack: splits [0, n) into TWO packed outputs by a 3-way
-// class mark (0 = drop, 1 = first output, 2 = second output) with one
-// blocked count pass and one scatter pass -- half the launches of two
-// back-to-back pack_index calls over the same marks (insert P3's
-// candidate/stealer split). Both outputs preserve index order.
-template <typename T, typename MapFn>
-std::pair<std::span<T>, std::span<T>> pack_index_split(
-    std::size_t n, std::span<const std::uint8_t> cls, MapFn&& map,
-    ScratchArena& arena) {
-  if (n == 0) return {};
-  std::size_t grain = parallel::default_grain(n);
-  std::size_t blocks = (n + grain - 1) / grain;
-  auto c1 = arena.alloc<std::size_t>(blocks);
-  auto c2 = arena.alloc<std::size_t>(blocks);
-  // Zero first: the sequential fast path delivers one [0, n) chunk.
-  std::fill(c1.begin(), c1.end(), std::size_t{0});
-  std::fill(c2.begin(), c2.end(), std::size_t{0});
-  parallel::parallel_for_blocked(
-      0, n,
-      [&](std::size_t b, std::size_t e) {
-        std::size_t a = 0, z = 0;
-        for (std::size_t i = b; i < e; ++i) {
-          a += cls[i] == 1 ? 1 : 0;
-          z += cls[i] == 2 ? 1 : 0;
-        }
-        c1[b / grain] = a;
-        c2[b / grain] = z;
-      },
-      grain);
-  std::size_t t1 = 0, t2 = 0;
-  for (std::size_t i = 0; i < blocks; ++i) {
-    std::size_t a = c1[i], z = c2[i];
-    c1[i] = t1;
-    c2[i] = t2;
-    t1 += a;
-    t2 += z;
-  }
-  auto out1 = arena.alloc<T>(t1);
-  auto out2 = arena.alloc<T>(t2);
-  parallel::parallel_for_blocked(
-      0, n,
-      [&](std::size_t b, std::size_t e) {
-        std::size_t p1 = c1[b / grain], p2 = c2[b / grain];
-        for (std::size_t i = b; i < e; ++i) {
-          if (cls[i] == 1)
-            out1[p1++] = map(i);
-          else if (cls[i] == 2)
-            out2[p2++] = map(i);
-        }
-      },
-      grain);
-  return {out1, out2};
+}  // namespace detail
+
+// One-pass blocked pack: body(b, e, out) scans [b, e) once, writes the
+// items it keeps to out[0, 1, ...] in index order, and returns how many it
+// wrote. Inline (parallel::run_phase_seq(n)) the whole range is one block
+// that writes straight into the result. Forked, each grain-aligned block
+// writes into its own slice of an arena staging buffer, and a scan of the
+// block counts plus one copy pass place the slices in block order. The
+// body runs exactly once per index either way, so it may carry side
+// effects; a body that shares state across blocks must use atomics unless
+// run_phase_seq(n) holds. Output and scratch live in the arena.
+template <typename T, typename Body>
+std::span<T> pack_blocks(std::size_t n, Body&& body, ScratchArena& arena) {
+  if (!parallel::run_phase_seq(n))
+    return detail::pack_forked<T>(n, body, arena);
+  auto out = arena.alloc<T>(n);
+  return out.first(body(std::size_t{0}, n, out.data()));
 }
 
-// Filter for expensive predicates: evaluates keep exactly once per element
-// into a mark array, then packs on the marks -- the plain filter's
-// count+scatter shape evaluates the predicate twice. Same output, same
-// determinism, one extra cheap pass instead of one extra expensive one.
-template <typename T, typename Pred>
-std::span<T> filter_marked(std::span<const T> in, Pred&& keep,
-                           ScratchArena& arena) {
-  std::size_t n = in.size();
-  if (n == 0) return {};
-  auto marks = arena.alloc<std::uint8_t>(n);
-  parallel::parallel_for(
-      0, n, [&](std::size_t i) { marks[i] = keep(in[i]) ? 1 : 0; });
-  return pack_index<T>(
-      n, [&](std::size_t i) { return marks[i] != 0; },
-      [&](std::size_t i) { return in[i]; }, arena);
-}
-
-// Parallel dedup of a sorted span: keeps the first of every run of equal
-// elements. The parallel replacement for sequential std::unique on the
-// batch hot paths (DESIGN.md S7).
-template <typename T>
-std::span<T> dedup_sorted(std::span<const T> in, ScratchArena& arena) {
-  return pack_index<T>(
-      in.size(),
-      [&](std::size_t i) { return i == 0 || in[i] != in[i - 1]; },
-      [&](std::size_t i) { return in[i]; }, arena);
+// Two-output pack_blocks: body(b, e, out1, out2) returns the pair of
+// counts it wrote to each (insert P3's candidate/stealer split).
+template <typename T, typename Body>
+std::pair<std::span<T>, std::span<T>> pack_blocks2(std::size_t n, Body&& body,
+                                                   ScratchArena& arena) {
+  if (!parallel::run_phase_seq(n))
+    return detail::pack2_forked<T>(n, body, arena);
+  auto out1 = arena.alloc<T>(n);
+  auto out2 = arena.alloc<T>(n);
+  auto [n1, n2] = body(std::size_t{0}, n, out1.data(), out2.data());
+  return {out1.first(n1), out2.first(n2)};
 }
 
 // Original vector-returning filter (cold paths and tests).

@@ -51,17 +51,6 @@ T reduce(std::span<const T> in) {
   return detail::reduce_blocked(in, std::span<T>(partial), grain);
 }
 
-// Allocation-free variant: block partials live in the arena.
-template <typename T>
-T reduce(std::span<const T> in, ScratchArena& arena) {
-  std::size_t n = in.size();
-  if (n == 0) return T{};
-  std::size_t grain = parallel::default_grain(n);
-  std::size_t blocks = (n + grain - 1) / grain;
-  auto partial = arena.alloc<T>(blocks);
-  return detail::reduce_blocked(in, partial, grain);
-}
-
 namespace detail {
 
 template <typename T>

@@ -54,6 +54,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -225,8 +226,21 @@ class JournalReplay {
     reader_.open(journal_path(dir));
   }
 
+  // Decodes the next record. False at the end of the valid log, or when
+  // a CRC-valid record does not decode; malformed() tells the two apart.
   bool next(JournalRecord& rec) {
     if (!reader_.next(raw_)) return false;
+    malformed_ = !decode(rec);
+    return !malformed_;
+  }
+
+  // The last next() stopped at a CRC-valid record whose payload is not a
+  // well-formed window (bad counts, a rank of 0 or over 255, a vertex word
+  // that does not fit a VertexId).
+  bool malformed() const { return malformed_; }
+
+ private:
+  bool decode(JournalRecord& rec) {
     if (raw_.size() % sizeof(std::uint64_t) != 0) return false;
     std::size_t n = raw_.size() / sizeof(std::uint64_t);
     const std::uint64_t* w =
@@ -248,8 +262,11 @@ class JournalReplay {
       std::uint64_t rank = w[p++];
       if (rank == 0 || rank > 255 || !need(rank)) return false;
       vs_.clear();
-      for (std::uint64_t j = 0; j < rank; ++j)
-        vs_.push_back(static_cast<graph::VertexId>(w[p++]));
+      for (std::uint64_t j = 0; j < rank; ++j) {
+        std::uint64_t v = w[p++];
+        if (v > std::numeric_limits<graph::VertexId>::max()) return false;
+        vs_.push_back(static_cast<graph::VertexId>(v));
+      }
       rec.inserts.add(std::span<const graph::VertexId>(vs_));
       rec.insert_tickets.push_back(ticket);
     }
@@ -259,10 +276,10 @@ class JournalReplay {
     return p == n;
   }
 
- private:
   util::io::RecordReader reader_;
   std::vector<unsigned char> raw_;
   std::vector<graph::VertexId> vs_;
+  bool malformed_ = false;
 };
 
 }  // namespace parmatch::serve

@@ -511,6 +511,11 @@ class MatchService {
     // about the trajectory (a logic bug or a cross-version file).
     std::uint64_t epoch_mismatches = 0;
     bool import_failed = false;  // frame-valid checkpoint failed import
+    // Replay stopped at a CRC-valid journal record the matcher cannot
+    // take: a malformed payload, an edge over the matcher's rank, or a
+    // vertex at or past max_vertices. Nothing from that record on was
+    // applied.
+    bool rejected_record = false;
   };
   const RecoveryInfo& recovery_info() const { return recovery_; }
 
@@ -1007,6 +1012,10 @@ class MatchService {
     JournalRecord rec;
     while (rp.next(rec)) {
       if (rec.seqno <= recovery_.checkpoint_seqno) continue;
+      if (!replayable(rec.inserts)) {
+        recovery_.rejected_record = true;
+        break;
+      }
       recovery_.ran = true;
       apply_batch(rec.inserts, rec.insert_tickets, rec.delete_tickets);
       if (dm_.insert_epochs() != rec.insert_epoch ||
@@ -1017,6 +1026,7 @@ class MatchService {
       for (std::uint64_t t : rec.insert_tickets)
         if (t + 1 > ticket_bound) ticket_bound = t + 1;
     }
+    if (rp.malformed()) recovery_.rejected_record = true;
     delta_.clear();
     // Safe upper bound: the pre-crash run may have handed out higher
     // tickets (sheds consume tickets but never journal); all that matters
@@ -1033,6 +1043,20 @@ class MatchService {
       snap_matched_.store(dm_.matched_count(), std::memory_order_release);
       epoch_.store(e + 2, std::memory_order_seq_cst);
     }
+  }
+
+  // Whether a decoded journal record's inserts fit this service: each
+  // edge within the matcher's rank (EdgePool's fixed-stride rows only
+  // assert it) and each vertex below max_vertices (a vertex near 2^32
+  // would wrap the matcher's vertex bound). Checked before apply_batch.
+  bool replayable(const graph::EdgeBatch& inserts) const {
+    for (std::size_t i = 0; i < inserts.size(); ++i) {
+      auto vs = inserts.edge(i);
+      if (vs.size() > cfg_.matcher.max_rank) return false;
+      for (VertexId v : vs)
+        if (v >= cfg_.max_vertices) return false;
+    }
+    return true;
   }
 
   // Matcher-stage checkpoint cadence: every ckpt_every journaled windows,

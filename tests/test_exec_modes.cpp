@@ -1,14 +1,16 @@
-// Execution-path equivalence (DESIGN.md S11): the adaptive batch engine
-// picks, per phase, between the fused sequential fast path and the
-// work-stealing path. The pick is an execution strategy, NOT an algorithm:
-// for a fixed seed the structure's entire trajectory -- the matching after
-// every batch, the cumulative counters, the per-batch depth counters --
-// must be bit-identical under PARMATCH_EXEC_MODE=sequential, =parallel,
-// and =adaptive, at every batch size. This suite drives small-batch churn
-// (k = 1..64, mixed and delete-heavy) through all three modes via the
-// programmatic override (parallel::set_exec_mode) and compares
-// everything except CumulativeStats::fused_batches, the one counter that
-// intentionally records which strategy ran.
+// Execution-mode equivalence (DESIGN.md S11): each matcher phase has one
+// body, written over a [b, e) block, and the primitives decide per phase
+// whether it runs as one inline block with plain memory or as forked
+// blocks with atomics on shared counters. That choice is an execution
+// strategy, NOT an algorithm: for a fixed seed the structure's entire
+// trajectory -- the matching after every batch, the cumulative counters,
+// the per-batch depth counters -- must be bit-identical under
+// PARMATCH_EXEC_MODE=sequential (every phase inline), =parallel (every
+// phase forked), and =adaptive, at every batch size. This suite drives
+// small-batch churn (k = 1..64, mixed and delete-heavy) through all three
+// modes via the programmatic override (parallel::set_exec_mode) and
+// compares everything except CumulativeStats::fused_batches, the one
+// counter that intentionally records which strategy ran.
 #include <gtest/gtest.h>
 
 #include <cstddef>

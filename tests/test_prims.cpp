@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <map>
+#include <memory>
 #include <numeric>
 #include <vector>
 
+#include "parallel/cost_model.h"
 #include "prims/filter.h"
 #include "prims/group_by.h"
 #include "prims/permutation.h"
@@ -13,6 +17,7 @@
 #include "prims/reduce.h"
 #include "prims/sort.h"
 #include "util/rng.h"
+#include "util/scratch_arena.h"
 
 using namespace parmatch;
 
@@ -110,6 +115,105 @@ TEST(Prims, GroupByBucketsEverything) {
     }
   }
   EXPECT_EQ(seen, n);
+}
+
+// Runs fn under a forced execution mode, restoring the previous one.
+template <typename Fn>
+void with_exec_mode(parallel::ExecMode mode, Fn&& fn) {
+  parallel::ExecMode saved = parallel::exec_mode();
+  parallel::set_exec_mode(mode);
+  fn();
+  parallel::set_exec_mode(saved);
+}
+
+const parallel::ExecMode kModes[] = {parallel::ExecMode::kSequential,
+                                     parallel::ExecMode::kParallel};
+
+// The body runs exactly once per index (so it may carry side effects) and
+// the kept items come out in index order, inline or forked.
+TEST(Prims, PackBlocksVisitsOnceAndKeepsOrder) {
+  for (parallel::ExecMode mode : kModes) {
+    for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                          std::size_t{64}, std::size_t{5000}}) {
+      SCOPED_TRACE(n);
+      with_exec_mode(mode, [&] {
+        ScratchArena arena;
+        auto visits = std::make_unique<std::atomic<int>[]>(n + 1);
+        auto out = prims::pack_blocks<std::uint32_t>(
+            n,
+            [&](std::size_t b, std::size_t e, std::uint32_t* o) {
+              std::size_t w = 0;
+              for (std::size_t i = b; i < e; ++i) {
+                visits[i].fetch_add(1, std::memory_order_relaxed);
+                if (i % 3 == 0) o[w++] = static_cast<std::uint32_t>(i);
+              }
+              return w;
+            },
+            arena);
+        std::vector<std::uint32_t> expect;
+        for (std::size_t i = 0; i < n; i += 3)
+          expect.push_back(static_cast<std::uint32_t>(i));
+        EXPECT_EQ(std::vector<std::uint32_t>(out.begin(), out.end()), expect);
+        for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(visits[i].load(), 1);
+
+        auto [a, z] = prims::pack_blocks2<std::uint32_t>(
+            n,
+            [&](std::size_t b, std::size_t e, std::uint32_t* o1,
+                std::uint32_t* o2) {
+              std::size_t n1 = 0, n2 = 0;
+              for (std::size_t i = b; i < e; ++i) {
+                visits[i].fetch_add(1, std::memory_order_relaxed);
+                if (i % 3 == 0)
+                  o1[n1++] = static_cast<std::uint32_t>(i);
+                else if (i % 3 == 1)
+                  o2[n2++] = static_cast<std::uint32_t>(i);
+              }
+              return std::pair{n1, n2};
+            },
+            arena);
+        std::vector<std::uint32_t> expect2;
+        for (std::size_t i = 1; i < n; i += 3)
+          expect2.push_back(static_cast<std::uint32_t>(i));
+        EXPECT_EQ(std::vector<std::uint32_t>(a.begin(), a.end()), expect);
+        EXPECT_EQ(std::vector<std::uint32_t>(z.begin(), z.end()), expect2);
+        for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(visits[i].load(), 2);
+      });
+    }
+  }
+}
+
+// Arena group_by probes at most kGroupByProbeMax pairs and sorts above;
+// both must give every key its values, in input order within the group.
+TEST(Prims, ArenaGroupByMapIsTheSameBelowAndAboveProbeCutoff) {
+  for (parallel::ExecMode mode : kModes) {
+    for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{40},
+                          prims::kGroupByProbeMax,
+                          prims::kGroupByProbeMax + 1, std::size_t{3000}}) {
+      SCOPED_TRACE(n);
+      with_exec_mode(mode, [&] {
+        auto keys = random_values(n, 23, 8 + n);
+        std::map<std::uint32_t, std::vector<std::uint32_t>> expect;
+        ScratchArena arena;
+        auto pairs =
+            arena.alloc<prims::KeyValue<std::uint32_t, std::uint32_t>>(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          auto k = static_cast<std::uint32_t>(keys[i]);
+          pairs[i] = {k, static_cast<std::uint32_t>(i)};
+          expect[k].push_back(static_cast<std::uint32_t>(i));
+        }
+        auto g = prims::group_by(pairs, arena);
+        std::map<std::uint32_t, std::vector<std::uint32_t>> got;
+        for (std::size_t gi = 0; gi < g.num_groups(); ++gi) {
+          auto vals = g.group(gi);
+          EXPECT_TRUE(got.emplace(g.key(gi), std::vector<std::uint32_t>(
+                                                 vals.begin(), vals.end()))
+                          .second)
+              << "key " << g.key(gi) << " split across groups";
+        }
+        EXPECT_EQ(got, expect);
+      });
+    }
+  }
 }
 
 TEST(Prims, RandomPermutationIsAPermutation) {

@@ -771,6 +771,49 @@ TEST(ServiceRecovery, ShedPoliciesJournalOnlyCommittedOps) {
   }
 }
 
+// Crafted journals: one well-formed window inserting edge (10, 11), then a
+// CRC-valid record carrying `bad_edge`, which the matcher cannot take.
+// Replay must apply the first window, stop before the second, and say so.
+void expect_replay_rejects(const char* tag,
+                           const std::vector<std::uint64_t>& bad_edge) {
+  DirGuard g(temp_dir(tag));
+  auto window = [](std::uint64_t seqno, std::uint64_t ticket,
+                   const std::vector<std::uint64_t>& edge) {
+    std::vector<std::uint64_t> w = {seqno, 0, 0, 1, 0, ticket, edge.size()};
+    w.insert(w.end(), edge.begin(), edge.end());
+    return w;
+  };
+  {
+    util::io::RecordWriter wr;
+    ASSERT_TRUE(wr.open(serve::journal_path(g.dir)));
+    for (const auto& rec : {window(1, 0, {10, 11}), window(2, 1, bad_edge)})
+      ASSERT_TRUE(
+          wr.append(rec.data(), rec.size() * sizeof(std::uint64_t)));
+    ASSERT_TRUE(wr.sync());
+  }
+  serve::MatchService svc(pinned_cfg(g.dir, serve::JournalPolicy::kCommit));
+  EXPECT_EQ(svc.recovery_info().replayed_windows, 1u);
+  EXPECT_EQ(svc.matcher().pool().live_count(), 1u);
+  EXPECT_EQ(svc.matcher().matched_count(), 1u);
+  EXPECT_TRUE(svc.recovery_info().rejected_record);
+}
+
+// A vertex word of 2^32 + 5 must not replay as vertex 5.
+TEST(ServiceRecovery, ReplayRejectsVertexWordPast32Bits) {
+  expect_replay_rejects("rej_wide", {(std::uint64_t{1} << 32) + 5, 6});
+}
+
+// A rank-3 edge does not fit a rank-2 matcher's fixed-stride pool rows.
+TEST(ServiceRecovery, ReplayRejectsRankOverMatcherRank) {
+  expect_replay_rejects("rej_rank", {7, 8, 9});
+}
+
+// Vertex 2^32 - 1 would wrap the matcher's vertex bound to 0; anything at
+// or past max_vertices is refused before apply.
+TEST(ServiceRecovery, ReplayRejectsVertexPastMaxVertices) {
+  expect_replay_rejects("rej_vmax", {0xFFFF'FFFFull, 3});
+}
+
 #if defined(PARMATCH_FAULT_INJECT)
 
 // ---- real SIGKILL crash points (fault-injection builds only) -------------

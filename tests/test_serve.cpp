@@ -21,7 +21,11 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <functional>
 #include <future>
+#include <optional>
+#include <string>
 #include <memory>
 #include <set>
 #include <thread>
@@ -636,6 +640,102 @@ TEST(MatchService, MatcherRankCappedToInlineRequestCapacity) {
   svc.stop();
   EXPECT_NE(svc.edge_of_ticket(t), kInvalidEdge);
   EXPECT_EQ(svc.matcher().pool().vertices(svc.edge_of_ticket(t)).size(), 4u);
+}
+
+// Sets one environment variable for a scope and restores what was there.
+struct EnvKnob {
+  const char* name;
+  std::optional<std::string> saved;
+  EnvKnob(const char* n, const char* v) : name(n) {
+    if (const char* old = std::getenv(n)) saved = old;
+    if (v != nullptr)
+      setenv(n, v, 1);
+    else
+      unsetenv(n);
+  }
+  ~EnvKnob() {
+    if (saved)
+      setenv(name, saved->c_str(), 1);
+    else
+      unsetenv(name);
+  }
+};
+
+// ServiceConfig::from_env reads ten service knobs: each value lands in its
+// field, out-of-range counts clamp, and unknown policy names fall back to
+// none/off.
+TEST(ServiceConfig, FromEnvReadsEveryServiceKnob) {
+  using serve::JournalPolicy;
+  using serve::ShedPolicy;
+  const char* kKnobs[] = {"PARMATCH_MAX_BATCH",      "PARMATCH_MAX_DELAY_US",
+                          "PARMATCH_ADMIT_BUDGET_US", "PARMATCH_SHED",
+                          "PARMATCH_LANES",          "PARMATCH_LANE_WEIGHT",
+                          "PARMATCH_JOURNAL",        "PARMATCH_JOURNAL_DIR",
+                          "PARMATCH_FSYNC_EVERY_US", "PARMATCH_CKPT_EVERY"};
+  std::vector<std::unique_ptr<EnvKnob>> cleared;
+  for (const char* k : kKnobs)
+    cleared.push_back(std::make_unique<EnvKnob>(k, nullptr));
+
+  serve::ServiceConfig defaults = serve::ServiceConfig::from_env();
+  EXPECT_EQ(defaults.admission.policy, ShedPolicy::kNone);
+  EXPECT_EQ(defaults.admission.lanes, 1u);
+  EXPECT_EQ(defaults.journal.policy, JournalPolicy::kOff);
+  EXPECT_TRUE(defaults.journal.dir.empty());
+
+  struct Row {
+    const char* knob;
+    const char* value;
+    std::function<bool(const serve::ServiceConfig&)> holds;
+  };
+  const Row rows[] = {
+      {"PARMATCH_MAX_BATCH", "77",
+       [](const auto& c) { return c.former.max_batch == 77; }},
+      {"PARMATCH_MAX_BATCH", "0",
+       [](const auto& c) { return c.former.max_batch == 1; }},
+      {"PARMATCH_MAX_DELAY_US", "1234",
+       [](const auto& c) { return c.former.max_delay_us == 1234; }},
+      {"PARMATCH_ADMIT_BUDGET_US", "950",
+       [](const auto& c) { return c.former.admit_budget_us == 950; }},
+      {"PARMATCH_SHED", "reject-new",
+       [](const auto& c) {
+         return c.admission.policy == ShedPolicy::kRejectNew;
+       }},
+      {"PARMATCH_SHED", "drop-oldest",
+       [](const auto& c) {
+         return c.admission.policy == ShedPolicy::kDropOldest;
+       }},
+      {"PARMATCH_SHED", "bogus",
+       [](const auto& c) { return c.admission.policy == ShedPolicy::kNone; }},
+      {"PARMATCH_LANES", "3",
+       [](const auto& c) { return c.admission.lanes == 3; }},
+      {"PARMATCH_LANES", "0",
+       [](const auto& c) { return c.admission.lanes == 1; }},
+      {"PARMATCH_LANES", "9",
+       [](const auto& c) { return c.admission.lanes == serve::kMaxLanes; }},
+      {"PARMATCH_LANE_WEIGHT", "5",
+       [](const auto& c) { return c.admission.drain_weight == 5; }},
+      {"PARMATCH_LANE_WEIGHT", "0",
+       [](const auto& c) { return c.admission.drain_weight == 1; }},
+      {"PARMATCH_JOURNAL", "async",
+       [](const auto& c) { return c.journal.policy == JournalPolicy::kAsync; }},
+      {"PARMATCH_JOURNAL", "commit",
+       [](const auto& c) {
+         return c.journal.policy == JournalPolicy::kCommit;
+       }},
+      {"PARMATCH_JOURNAL", "bogus",
+       [](const auto& c) { return c.journal.policy == JournalPolicy::kOff; }},
+      {"PARMATCH_JOURNAL_DIR", "/var/lib/parmatch",
+       [](const auto& c) { return c.journal.dir == "/var/lib/parmatch"; }},
+      {"PARMATCH_FSYNC_EVERY_US", "250",
+       [](const auto& c) { return c.journal.fsync_every_us == 250; }},
+      {"PARMATCH_CKPT_EVERY", "0",
+       [](const auto& c) { return c.journal.ckpt_every == 0; }},
+  };
+  for (const Row& r : rows) {
+    EnvKnob knob(r.knob, r.value);
+    EXPECT_TRUE(r.holds(serve::ServiceConfig::from_env()))
+        << r.knob << "=" << r.value;
+  }
 }
 
 // An idle service parks its drain thread; a submit must wake it (a lost

@@ -1,7 +1,7 @@
 // Thread-count AND execution-mode determinism (DESIGN.md S7/S11): the
 // batch pipeline keys every random draw by data (batch epoch, vertex,
 // settle round), never by worker, and the adaptive engine's per-phase
-// strategy choice (fused sequential vs work-stealing) never changes
+// strategy choice (one inline block vs forked blocks) never changes
 // results -- so for a fixed seed the dynamic matching after EVERY batch,
 // plus the work/sample/depth counters, must be bit-identical for
 // PARMATCH_NUM_THREADS=1, 2, and hardware concurrency, crossed with
@@ -164,8 +164,8 @@ TEST(ThreadDeterminism, MatchingIdenticalAcrossThreadCountsAndExecModes) {
   std::vector<int> counts{1, 2};
   if (hw > 2) counts.push_back(static_cast<int>(hw));
   // Every execution policy the engine can take, including an adaptive run
-  // with a pinned mid-range cutover so single batches mix the fused and
-  // forked strategies phase by phase. The serve_* fingerprint lines are
+  // with a pinned mid-range cutover so single batches mix inline and
+  // forked phases. The serve_* fingerprint lines are
   // compared across the same grid.
   const std::vector<std::string> modes{
       "PARMATCH_EXEC_MODE=adaptive",
