@@ -67,7 +67,8 @@
 // (parallel_for_blocked, prims::pack_blocks, group_by, speculative_for),
 // from parallel/cost_model.h's calibrated cutover. A body that shares a
 // counter across blocks asks run_phase_seq of the same n whether it needs
-// an atomic. Every phase makes the SAME keyed RNG draws and charges the
+// an atomic; insert P2 instead follows its batch size and hands that one
+// answer to its primitives and its body (apply_adjacency). Every phase makes the SAME keyed RNG draws and charges the
 // SAME model depth either way, so the trajectory (matching, stats, depth
 // counters) is bit-identical across PARMATCH_EXEC_MODE=sequential/parallel/
 // adaptive and any thread count (tests/test_exec_modes.cpp,
@@ -812,10 +813,17 @@ class DynamicMatcher {
   // whose threshold crossing fires exactly once in any accumulation order;
   // and the bloated set is returned sorted by id, so downstream processing
   // is schedule-independent.
+  //
+  // P2 runs inline whenever its batch does (run_phase_seq(k)): its emit and
+  // group apply cover the batch's rank * k incidences and their groups,
+  // which pass the cutover inside batches that do not, and forking them
+  // there cost matcher_large's below-cutover rounds ~11% updates/s
+  // (DESIGN.md S11). Above the cutover each step decides by its own size.
   std::span<const EdgeId> apply_adjacency(const graph::EdgeBatch& batch,
                                           std::span<const EdgeId> ids) {
     std::size_t k = ids.size();
     std::size_t total = batch.total_cardinality();
+    const bool batch_seq = parallel::run_phase_seq(k);
     // The batch's own CSR offsets are the scanned per-edge offsets.
     charge_phase(k);      // offsets fill
     charge_phases(2, k);  // offsets scan
@@ -835,7 +843,9 @@ class DynamicMatcher {
       }
     });
     charge_phases(group_by_phases(pool_.vertex_bound()), total);
-    auto groups = prims::group_by(pairs, ws_.arena, pool_.vertex_bound());
+    auto groups =
+        prims::group_by(pairs, ws_.arena, pool_.vertex_bound(),
+                        batch_seq || parallel::run_phase_seq(total));
 
     std::size_t ng = groups.num_groups();
     // Slab headroom for the appends below, sized before the group phase so
@@ -843,7 +853,7 @@ class DynamicMatcher {
     adj_.reserve_for(total, ng);
     charge_phases(2, ng);  // group apply + compaction-scan reduce
     charge_phase(ng);      // bloated-match filter
-    const bool seq = parallel::run_phase_seq(ng);
+    const bool seq = batch_seq || parallel::run_phase_seq(ng);
     std::size_t comp_total = 0;
     std::span<EdgeId> bloated = prims::pack_blocks<EdgeId>(
         ng,
@@ -871,7 +881,7 @@ class DynamicMatcher {
           add_block_sum(comp_total, comp_sum, seq);
           return w;
         },
-        ws_.arena);
+        ws_.arena, seq);
     stats_.work_units += comp_total;
     charge_phases(kRadixPhases, bloated.size());
     prims::radix_sort(bloated, [](EdgeId e) { return std::uint64_t(e); },

@@ -28,10 +28,14 @@ struct CumulativeStats {
                                     // neighborhood outgrew the level bound
   std::size_t max_batch_depth = 0;  // deepest measured batch span so far
   std::size_t fused_batches = 0;    // non-empty batches whose size k is
-                                    // below the cost model's cutover
-                                    // (parallel::run_phase_seq(k)), so
-                                    // their phases run inline; perfbench
-                                    // reports the share as fused_frac.
+                                    // at or below the cost model's cutover
+                                    // (parallel::run_phase_seq(k));
+                                    // perfbench reports the share as
+                                    // fused_frac. Their phases over at
+                                    // most k items and insert P2 run
+                                    // inline; settle, steal and greedy
+                                    // phases larger than the cutover still
+                                    // fork.
                                     // Execution diagnostics only: this is
                                     // the ONE counter that legitimately
                                     // differs across PARMATCH_EXEC_MODE

@@ -6,10 +6,10 @@
 // form, hands the caller's body whole [b, e) blocks: the body scans its
 // block once, may update state as it goes, and writes its kept items in
 // order. Whether the phase runs as one inline block or as forked blocks is
-// decided here, from parallel::run_phase_seq(n), so a phase written over a
-// block has one body for both executions; its output and staging come
-// from a caller ScratchArena (DESIGN.md S7's zero-allocation batch
-// contract).
+// decided here, from parallel::run_phase_seq(n) unless the caller passes
+// its own answer, so a phase written over a block has one body for both
+// executions; its output and staging come from a caller ScratchArena
+// (DESIGN.md S7's zero-allocation batch contract).
 //
 // Complexity contract: O(n) work, O(P + n/P) span, output order preserved
 // (per-block counts + scan + placement, so results are deterministic
@@ -72,7 +72,9 @@ void pack_scatter(std::size_t n, std::size_t grain,
 
 // Forked half of pack_blocks: block i of [0, n) left count[i] items at
 // staging + i * grain. Turns the counts into output offsets and copies
-// each slice into place, forking on the same blocks.
+// each slice into place, forking on the same blocks. A chunk may span
+// several blocks (the scheduler hands a caller that finds the root taken
+// one [0, n) chunk), so each chunk copies every block it covers.
 template <typename T>
 std::span<T> place_blocks(std::size_t n, std::size_t grain,
                           std::span<std::size_t> count, const T* staging,
@@ -86,11 +88,12 @@ std::span<T> place_blocks(std::size_t n, std::size_t grain,
   auto out = arena.alloc<T>(total);
   parallel::parallel_for_blocked(
       0, n,
-      [&](std::size_t b, std::size_t) {
-        std::size_t i = b / grain;
-        std::size_t end = i + 1 < count.size() ? count[i + 1] : total;
-        std::copy(staging + b, staging + b + (end - count[i]),
-                  out.data() + count[i]);
+      [&](std::size_t b, std::size_t e) {
+        for (std::size_t i = b / grain; i * grain < e; ++i) {
+          std::size_t end = i + 1 < count.size() ? count[i + 1] : total;
+          const T* slice = staging + i * grain;
+          std::copy(slice, slice + (end - count[i]), out.data() + count[i]);
+        }
       },
       grain);
   return out;
@@ -98,12 +101,15 @@ std::span<T> place_blocks(std::size_t n, std::size_t grain,
 
 // The forked halves of pack_blocks / pack_blocks2, kept out of their
 // inline fast path so that path stays small enough to inline at its call
-// sites.
+// sites. The counts are zeroed first: a chunk that spans several blocks
+// (see place_blocks) writes only its first block's count, and arena
+// scratch arrives uninitialized.
 template <typename T, typename Body>
 std::span<T> pack_forked(std::size_t n, Body& body, ScratchArena& arena) {
   std::size_t grain = parallel::default_grain(n);
   auto staging = arena.alloc<T>(n);
   auto count = arena.alloc<std::size_t>((n + grain - 1) / grain);
+  std::fill(count.begin(), count.end(), std::size_t{0});
   parallel::parallel_for_blocked(
       0, n,
       [&](std::size_t b, std::size_t e) {
@@ -122,6 +128,8 @@ std::pair<std::span<T>, std::span<T>> pack2_forked(std::size_t n, Body& body,
   auto staging2 = arena.alloc<T>(n);
   auto count1 = arena.alloc<std::size_t>(blocks);
   auto count2 = arena.alloc<std::size_t>(blocks);
+  std::fill(count1.begin(), count1.end(), std::size_t{0});
+  std::fill(count2.begin(), count2.end(), std::size_t{0});
   parallel::parallel_for_blocked(
       0, n,
       [&](std::size_t b, std::size_t e) {
@@ -144,13 +152,23 @@ std::pair<std::span<T>, std::span<T>> pack2_forked(std::size_t n, Body& body,
 // block counts plus one copy pass place the slices in block order. The
 // body runs exactly once per index either way, so it may carry side
 // effects; a body that shares state across blocks must use atomics unless
-// run_phase_seq(n) holds. Output and scratch live in the arena.
+// the pack runs inline. Output and scratch live in the arena.
+//
+// `seq` is the inline-or-forked answer, run_phase_seq(n) by default. A
+// caller that runs a whole step inline on a smaller decision size (insert
+// P2 follows its batch size k) passes its own answer, and its body's
+// plain-or-atomic choice reads the same bool.
 template <typename T, typename Body>
-std::span<T> pack_blocks(std::size_t n, Body&& body, ScratchArena& arena) {
-  if (!parallel::run_phase_seq(n))
-    return detail::pack_forked<T>(n, body, arena);
+std::span<T> pack_blocks(std::size_t n, Body&& body, ScratchArena& arena,
+                         bool seq) {
+  if (!seq) return detail::pack_forked<T>(n, body, arena);
   auto out = arena.alloc<T>(n);
   return out.first(body(std::size_t{0}, n, out.data()));
+}
+
+template <typename T, typename Body>
+std::span<T> pack_blocks(std::size_t n, Body&& body, ScratchArena& arena) {
+  return pack_blocks<T>(n, body, arena, parallel::run_phase_seq(n));
 }
 
 // Two-output pack_blocks: body(b, e, out1, out2) returns the pair of

@@ -115,7 +115,7 @@ namespace detail {
 template <typename K, typename V>
 GroupedView<K, V> group_by_sorted(std::span<KeyValue<K, V>> pairs,
                                   ScratchArena& arena,
-                                  std::uint64_t max_key_bound) {
+                                  std::uint64_t max_key_bound, bool seq) {
   using Group = typename GroupedView<K, V>::Group;
   std::size_t n = pairs.size();
   std::uint64_t maxk = max_key_bound;
@@ -143,7 +143,7 @@ GroupedView<K, V> group_by_sorted(std::span<KeyValue<K, V>> pairs,
         }
         return w;
       },
-      arena);
+      arena, seq);
   return {groups, vals};
 }
 
@@ -151,13 +151,15 @@ GroupedView<K, V> group_by_sorted(std::span<KeyValue<K, V>> pairs,
 
 // `max_key_bound`, when nonzero, is a caller-known upper bound on the keys
 // (e.g. the graph's vertex bound) and skips the sequential max scan. The
-// pairs are reordered in place.
+// pairs are reordered in place. `seq` says whether the emit pass runs
+// inline, as pack_blocks' argument of that name; the sort decides by its
+// own size.
 template <typename K, typename V>
 GroupedView<K, V> group_by(std::span<KeyValue<K, V>> pairs,
-                           ScratchArena& arena,
-                           std::uint64_t max_key_bound = 0) {
+                           ScratchArena& arena, std::uint64_t max_key_bound,
+                           bool seq) {
   if (pairs.size() > kGroupByProbeMax)
-    return detail::group_by_sorted(pairs, arena, max_key_bound);
+    return detail::group_by_sorted(pairs, arena, max_key_bound, seq);
   using Group = typename GroupedView<K, V>::Group;
   std::size_t n = pairs.size();
   auto vals = arena.alloc<V>(n);
@@ -183,6 +185,14 @@ GroupedView<K, V> group_by(std::span<KeyValue<K, V>> pairs,
   }
   for (std::size_t i = 0; i < n; ++i) vals[cursor[slot[i]]++] = pairs[i].value;
   return {groups.first(ng), vals};
+}
+
+template <typename K, typename V>
+GroupedView<K, V> group_by(std::span<KeyValue<K, V>> pairs,
+                           ScratchArena& arena,
+                           std::uint64_t max_key_bound = 0) {
+  return group_by(pairs, arena, max_key_bound,
+                  parallel::run_phase_seq(pairs.size()));
 }
 
 }  // namespace parmatch::prims

@@ -7,9 +7,11 @@
 #include <map>
 #include <memory>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "parallel/cost_model.h"
+#include "parallel/scheduler.h"
 #include "prims/filter.h"
 #include "prims/group_by.h"
 #include "prims/permutation.h"
@@ -129,57 +131,88 @@ void with_exec_mode(parallel::ExecMode mode, Fn&& fn) {
 const parallel::ExecMode kModes[] = {parallel::ExecMode::kSequential,
                                      parallel::ExecMode::kParallel};
 
-// The body runs exactly once per index (so it may carry side effects) and
-// the kept items come out in index order, inline or forked.
-TEST(Prims, PackBlocksVisitsOnceAndKeepsOrder) {
-  for (parallel::ExecMode mode : kModes) {
-    for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
-                          std::size_t{64}, std::size_t{5000}}) {
-      SCOPED_TRACE(n);
-      with_exec_mode(mode, [&] {
-        ScratchArena arena;
-        auto visits = std::make_unique<std::atomic<int>[]>(n + 1);
-        auto out = prims::pack_blocks<std::uint32_t>(
-            n,
-            [&](std::size_t b, std::size_t e, std::uint32_t* o) {
-              std::size_t w = 0;
-              for (std::size_t i = b; i < e; ++i) {
-                visits[i].fetch_add(1, std::memory_order_relaxed);
-                if (i % 3 == 0) o[w++] = static_cast<std::uint32_t>(i);
-              }
-              return w;
-            },
-            arena);
-        std::vector<std::uint32_t> expect;
-        for (std::size_t i = 0; i < n; i += 3)
-          expect.push_back(static_cast<std::uint32_t>(i));
-        EXPECT_EQ(std::vector<std::uint32_t>(out.begin(), out.end()), expect);
-        for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(visits[i].load(), 1);
+// Checks one exec mode of pack_blocks / pack_blocks2 over n: the body runs
+// exactly once per index (so it may carry side effects) and the kept items
+// come out in index order. The arena is dirtied first, so scratch that the
+// pack forgets to initialise shows up as wrong output.
+void check_pack_blocks(std::size_t n) {
+  SCOPED_TRACE(n);
+  ScratchArena arena;
+  auto dirt = arena.alloc<std::uint8_t>(16 * n + 4096);
+  std::fill(dirt.begin(), dirt.end(), std::uint8_t{0xA5});
+  arena.reset();
+  auto visits = std::make_unique<std::atomic<int>[]>(n + 1);
+  auto out = prims::pack_blocks<std::uint32_t>(
+      n,
+      [&](std::size_t b, std::size_t e, std::uint32_t* o) {
+        std::size_t w = 0;
+        for (std::size_t i = b; i < e; ++i) {
+          visits[i].fetch_add(1, std::memory_order_relaxed);
+          if (i % 3 == 0) o[w++] = static_cast<std::uint32_t>(i);
+        }
+        return w;
+      },
+      arena);
+  std::vector<std::uint32_t> expect;
+  for (std::size_t i = 0; i < n; i += 3)
+    expect.push_back(static_cast<std::uint32_t>(i));
+  EXPECT_EQ(std::vector<std::uint32_t>(out.begin(), out.end()), expect);
+  for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(visits[i].load(), 1);
 
-        auto [a, z] = prims::pack_blocks2<std::uint32_t>(
-            n,
-            [&](std::size_t b, std::size_t e, std::uint32_t* o1,
-                std::uint32_t* o2) {
-              std::size_t n1 = 0, n2 = 0;
-              for (std::size_t i = b; i < e; ++i) {
-                visits[i].fetch_add(1, std::memory_order_relaxed);
-                if (i % 3 == 0)
-                  o1[n1++] = static_cast<std::uint32_t>(i);
-                else if (i % 3 == 1)
-                  o2[n2++] = static_cast<std::uint32_t>(i);
-              }
-              return std::pair{n1, n2};
-            },
-            arena);
-        std::vector<std::uint32_t> expect2;
-        for (std::size_t i = 1; i < n; i += 3)
-          expect2.push_back(static_cast<std::uint32_t>(i));
-        EXPECT_EQ(std::vector<std::uint32_t>(a.begin(), a.end()), expect);
-        EXPECT_EQ(std::vector<std::uint32_t>(z.begin(), z.end()), expect2);
-        for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(visits[i].load(), 2);
-      });
+  auto [a, z] = prims::pack_blocks2<std::uint32_t>(
+      n,
+      [&](std::size_t b, std::size_t e, std::uint32_t* o1, std::uint32_t* o2) {
+        std::size_t n1 = 0, n2 = 0;
+        for (std::size_t i = b; i < e; ++i) {
+          visits[i].fetch_add(1, std::memory_order_relaxed);
+          if (i % 3 == 0)
+            o1[n1++] = static_cast<std::uint32_t>(i);
+          else if (i % 3 == 1)
+            o2[n2++] = static_cast<std::uint32_t>(i);
+        }
+        return std::pair{n1, n2};
+      },
+      arena);
+  std::vector<std::uint32_t> expect2;
+  for (std::size_t i = 1; i < n; i += 3)
+    expect2.push_back(static_cast<std::uint32_t>(i));
+  EXPECT_EQ(std::vector<std::uint32_t>(a.begin(), a.end()), expect);
+  EXPECT_EQ(std::vector<std::uint32_t>(z.begin(), z.end()), expect2);
+  for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(visits[i].load(), 2);
+}
+
+const std::size_t kPackSizes[] = {0, 1, 7, 64, 5000};
+
+TEST(Prims, PackBlocksVisitsOnceAndKeepsOrder) {
+  for (parallel::ExecMode mode : kModes)
+    with_exec_mode(mode, [] {
+      for (std::size_t n : kPackSizes) check_pack_blocks(n);
+    });
+
+  // Forked, while another external thread holds the scheduler's root: every
+  // forked pass then arrives as one [0, n) chunk spanning all blocks.
+  if (parallel::num_workers() < 2) return;  // 1 worker: packs run inline
+  std::atomic<bool> inside{false}, release{false};
+  std::thread holder([&] {
+    parallel::Scheduler::instance().run(2, 1, [&](std::size_t b, std::size_t) {
+      if (b != 0) return;
+      inside.store(true, std::memory_order_release);
+      while (!release.load(std::memory_order_acquire))
+        std::this_thread::yield();
+    });
+  });
+  struct Release {  // also on a throw, so the holder never outlives us
+    std::atomic<bool>& flag;
+    std::thread& t;
+    ~Release() {
+      flag.store(true, std::memory_order_release);
+      t.join();
     }
-  }
+  } guard{release, holder};
+  while (!inside.load(std::memory_order_acquire)) std::this_thread::yield();
+  with_exec_mode(parallel::ExecMode::kParallel, [] {
+    for (std::size_t n : kPackSizes) check_pack_blocks(n);
+  });
 }
 
 // Arena group_by probes at most kGroupByProbeMax pairs and sorts above;
