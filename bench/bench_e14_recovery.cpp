@@ -33,7 +33,8 @@
 //       partition makes "the first S windows" reproducible as "the first
 //       S*B submits" -- and (b) against a pure-replay recovery of the same
 //       wal.log with no checkpoint, which pits checkpoint import against
-//       batch replay. Exits nonzero on any mismatch.
+//       batch replay. Exits nonzero on any mismatch. D is left in place;
+//       the pure-replay copy (e14_scratch_replay_only) is removed.
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -56,15 +57,29 @@ namespace {
 constexpr graph::VertexId kN = 32768;
 constexpr std::size_t kM = 3u * kN;
 
-std::string scratch_dir(const char* tag) {
-  return "e14_scratch_" + std::string(tag);
-}
-
 void reset_dir(const std::string& dir) {
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
   std::filesystem::create_directories(dir, ec);
 }
+
+// The bench's own journal directory, e14_scratch_<tag> in the working
+// directory: emptied on entry and removed on scope exit, so no run leaves
+// one behind. Declare it before the services that use it. A directory the
+// caller passes with --dir is never one of these.
+struct ScratchDir {
+  std::string path;
+  explicit ScratchDir(const char* tag)
+      : path("e14_scratch_" + std::string(tag)) {
+    reset_dir(path);
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+};
 
 // ---- Table 1: journal overhead on the E12 poisson row ---------------------
 
@@ -83,10 +98,8 @@ OverheadRow run_overhead(const gen::Workload& w,
   cfg.matcher.seed = seed;
   cfg.max_vertices = kN;
   cfg.journal.policy = policy;
-  if (policy != serve::JournalPolicy::kOff) {
-    cfg.journal.dir = scratch_dir("overhead");
-    reset_dir(cfg.journal.dir);
-  }
+  ScratchDir scratch("overhead");
+  if (policy != serve::JournalPolicy::kOff) cfg.journal.dir = scratch.path;
   serve::MatchService svc(cfg);
   svc.start();
 
@@ -153,9 +166,9 @@ RecoveryRow run_recovery(const gen::Workload& w,
   // checkpoint axis degenerates to "never fired").
   cfg.former.max_batch = 512;
   cfg.journal.policy = serve::JournalPolicy::kAsync;
-  cfg.journal.dir = scratch_dir("recovery");
+  ScratchDir scratch("recovery");
+  cfg.journal.dir = scratch.path;
   cfg.journal.ckpt_every = ckpt_every;
-  reset_dir(cfg.journal.dir);
 
   RecoveryRow r;
   std::uint64_t fp_before = 0;
@@ -270,17 +283,16 @@ int recover_check(const std::string& dir, std::size_t updates,
 
   // (b) Checkpoint-vs-replay equivalence: the same wal.log alone, no
   // checkpoint, must recover to the same state.
-  std::string replay_dir = scratch_dir("replay_only");
-  reset_dir(replay_dir);
+  ScratchDir replay_dir("replay_only");
   std::error_code ec;
   std::filesystem::copy_file(serve::journal_path(dir),
-                             serve::journal_path(replay_dir),
+                             serve::journal_path(replay_dir.path),
                              std::filesystem::copy_options::overwrite_existing,
                              ec);
   bool ok_replay = true;
   if (!ec) {
     serve::ServiceConfig rp_cfg = pinned_config(
-        seed, max_batch, replay_dir, serve::JournalPolicy::kCommit);
+        seed, max_batch, replay_dir.path, serve::JournalPolicy::kCommit);
     serve::MatchService replay_only(rp_cfg);
     ok_replay = replay_only.recovery_fingerprint() == fp_recovered;
   }

@@ -396,7 +396,7 @@ class DynamicMatcher {
 
   // ---- checkpoint serialization (DESIGN.md S14) ------------------------
   //
-  // export_state/import_state move the matcher's LOGICAL state -- every
+  // export_words/import_state move the matcher's LOGICAL state -- every
   // word a future batch's trajectory can depend on -- through a flat u64
   // stream: the two RNG epoch counters (the streams themselves are
   // stateless keyed hashes, so the counters ARE the stream positions), the
@@ -420,59 +420,67 @@ class DynamicMatcher {
   // a word per vertex below the bound -- a service with a 2^20 vertex
   // bound and a few thousand live edges writes thousands of words, not a
   // million.
-  void export_state(std::vector<std::uint64_t>& out) const {
-    out.push_back(kStateMagic);
-    out.push_back(kStateVersion);
-    out.push_back(cfg_.seed);
-    out.push_back(cfg_.max_rank);
-    out.push_back(cfg_.level_gap);
-    out.push_back(cfg_.heavy_factor);
-    out.push_back(cfg_.light_only ? 1 : 0);
-    out.push_back(insert_epoch_);
-    out.push_back(settle_epoch_);
-    pool_.export_state(out);
+  //
+  // export_words is the one body: it hands each word to `put(uint64_t)` in
+  // stream order and never revisits one, so a sink can fold or write the
+  // stream without holding it. Counts therefore come before what they
+  // count: k is the bitmap's popcount, and each record's cnt is a counting
+  // walk of the chain (stale refs skipped) ahead of the emitting walk. Its
+  // only allocation is the bitmap. export_state appends the same words to
+  // a vector; state_fingerprint folds them.
+  template <class Put>
+  void export_words(Put&& put) const {
+    put(kStateMagic);
+    put(kStateVersion);
+    put(cfg_.seed);
+    put(cfg_.max_rank);
+    put(cfg_.level_gap);
+    put(cfg_.heavy_factor);
+    put(cfg_.light_only ? 1 : 0);
+    put(insert_epoch_);
+    put(settle_epoch_);
+    pool_.export_words(put);
     std::size_t ib = pool_.id_bound();
-    out.push_back(pool_.live_count());
+    put(pool_.live_count());
     for (std::size_t id = 0; id < ib; ++id)
-      if (pool_.live(static_cast<EdgeId>(id))) out.push_back(pri_[id]);
-    out.push_back(matched_edges_.size());
+      if (pool_.live(static_cast<EdgeId>(id))) put(pri_[id]);
+    put(matched_edges_.size());
     for (EdgeId e : matched_edges_) {
-      out.push_back(e);
-      out.push_back(ehot_[e].threshold);
-      out.push_back(ehot_[e].growth);
+      put(e);
+      put(ehot_[e].threshold);
+      put(ehot_[e].growth);
     }
     std::size_t vb = vh_.size();
-    out.push_back(vb);
+    put(vb);
     std::vector<std::uint64_t> has_live((vb + 63) / 64);
     for (std::size_t id = 0; id < ib; ++id) {
       if (!pool_.live(static_cast<EdgeId>(id))) continue;
       for (VertexId v : pool_.vertices(static_cast<EdgeId>(id)))
         has_live[v / 64] |= std::uint64_t{1} << (v % 64);
     }
-    std::size_t k_pos = out.size();
-    out.push_back(0);  // record count, fixed up below
     std::uint64_t k = 0;
+    for (std::uint64_t bits : has_live) k += std::popcount(bits);
+    put(k);
     for (std::size_t w = 0; w < has_live.size(); ++w) {
       for (std::uint64_t bits = has_live[w]; bits != 0; bits &= bits - 1) {
         std::size_t v = w * 64 + std::countr_zero(bits);
-        out.push_back(v);
-        std::size_t cnt_pos = out.size();
-        out.push_back(0);  // live-ref count, fixed up below
-        std::uint64_t cnt = 0;
+        std::uint64_t cnt = 0;  // == live_deg > 0 by the chain invariant
+        adj_.visit(vh_[v].adj,
+                   [&](std::uint64_t ref) { cnt += pool_.ref_valid(ref); });
+        put(v);
+        put(cnt);
         adj_.visit(vh_[v].adj, [&](std::uint64_t ref) {
-          if (pool_.ref_valid(ref)) {
-            out.push_back(graph::EdgePool::ref_id(ref));
-            ++cnt;
-          }
+          if (pool_.ref_valid(ref)) put(graph::EdgePool::ref_id(ref));
         });
-        out[cnt_pos] = cnt;  // == live_deg > 0 by the chain invariant
-        ++k;
       }
     }
-    out[k_pos] = k;
   }
 
-  // Restores a stream produced by export_state into a FRESHLY constructed
+  void export_state(std::vector<std::uint64_t>& out) const {
+    export_words([&out](std::uint64_t w) { out.push_back(w); });
+  }
+
+  // Restores a stream produced by export_words into a FRESHLY constructed
   // matcher with the same Config (the stream carries the config words and
   // refuses a mismatch -- replaying under different knobs would silently
   // diverge). A stream whose vertex bound exceeds `vertex_limit` is
@@ -571,15 +579,15 @@ class DynamicMatcher {
   std::uint64_t insert_epochs() const { return insert_epoch_; }
   std::uint64_t settle_epochs() const { return settle_epoch_; }
 
-  // Order-sensitive fold of exactly the exported logical state. Equal
-  // fingerprints mean equal replay trajectories (the recovery bit-identity
-  // check of DESIGN.md S14); cumulative stats, which recovery legitimately
-  // perturbs, are excluded by construction.
+  // Order-sensitive fold of exactly the exported logical state, hashed
+  // word by word as export_words emits it (the stream is never stored, so
+  // the only allocation is the chain bitmap). Equal fingerprints mean
+  // equal replay trajectories (the recovery bit-identity check of
+  // DESIGN.md S14); cumulative stats, which recovery legitimately perturbs,
+  // are excluded by construction.
   std::uint64_t state_fingerprint() const {
-    std::vector<std::uint64_t> words;
-    export_state(words);
     std::uint64_t h = 0x5EED'F00D'CAFE'D00Dull;
-    for (std::uint64_t w : words) h = hash64(h, w);
+    export_words([&h](std::uint64_t w) { h = hash64(h, w); });
     return h;
   }
 

@@ -226,21 +226,24 @@ class EdgePool {
   // Word stream layout, all u64:
   //   [nslots][vertex_bound][live][nfree][free ids...][data words packed
   //    2 x u32 per u64, (nslots * stride + 1) / 2 words]
-  void export_state(std::vector<std::uint64_t>& out) const {
-    out.push_back(nslots_);
-    out.push_back(vertex_bound_);
-    out.push_back(live_);
-    out.push_back(free_.size());
-    for (EdgeId id : free_) out.push_back(id);
+  // Each word goes to `put(std::uint64_t)` in stream order; nothing is
+  // buffered (DynamicMatcher::export_words).
+  template <class Put>
+  void export_words(Put&& put) const {
+    put(nslots_);
+    put(vertex_bound_);
+    put(live_);
+    put(free_.size());
+    for (EdgeId id : free_) put(id);
     const std::size_t nwords = nslots_ * stride_;
     for (std::size_t i = 0; i < nwords; i += 2) {
       std::uint64_t w = data_[i];
       if (i + 1 < nwords) w |= static_cast<std::uint64_t>(data_[i + 1]) << 32;
-      out.push_back(w);
+      put(w);
     }
   }
 
-  // Restores a stream produced by export_state on a pool constructed with
+  // Restores a stream produced by export_words on a pool constructed with
   // the SAME max_rank (the stream has no stride of its own). Only valid on
   // a fresh pool. Returns false on a malformed stream; `consumed` gets the
   // number of words read on success. A stream can pass its checkpoint CRC

@@ -1,6 +1,6 @@
 // serve/checkpoint.h -- durable snapshots of the serving state (DESIGN.md
 // S14): the matcher's exported logical state (dyn/dynamic_matcher.h
-// export_state -- pool, samples, matched set, chain orders, RNG epochs),
+// export_words -- pool, samples, matched set, chain orders, RNG epochs),
 // the live ticket -> edge-id pairs, the window sequence number the snapshot
 // is consistent WITH, and the producer ticket counter. A checkpoint plus
 // the journal suffix with seqno greater than its own reconstructs the
@@ -8,8 +8,9 @@
 // DESIGN.md S14).
 //
 // Write protocol, crash-safe by construction:
-//   serialize (matcher stage, in memory)  -->  background writer thread:
-//   write ckpt-<seqno>.tmp  -->  fdatasync  -->  rename to ckpt-<seqno>.ckpt
+//   encode the payload once (matcher stage, in memory)  -->  background
+//   writer thread: write those words to ckpt-<seqno>.tmp  -->  fdatasync
+//   -->  rename to ckpt-<seqno>.ckpt
 // The rename is atomic, so a reader never sees a half-written checkpoint
 // file under its final name; the payload is one CRC32C-framed record, so
 // even a corrupted file (bit rot, torn rename on a broken fs) fails
@@ -19,9 +20,11 @@
 // successful write.
 //
 // The snapshot-epoch split is what keeps checkpointing off the drain's
-// critical path: the matcher stage serializes BETWEEN windows (it owns the
+// critical path: the matcher stage encodes BETWEEN windows (it owns the
 // structure, so the copy is consistent by exclusion -- an O(live state)
 // memory walk, no I/O), and all disk work happens on the writer thread.
+// That encoded payload is the only copy of the matcher words until the
+// record writer frames it.
 // If the writer is still busy with the previous checkpoint, the snapshot
 // is SKIPPED, never queued: falling behind on checkpoints lengthens
 // replay, it must not stall serving.
@@ -36,6 +39,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -46,83 +50,94 @@
 
 namespace parmatch::serve {
 
+namespace detail {
+
+inline constexpr std::uint64_t kCkptMagic = 0x504D'434B'5054'3031ull;
+inline constexpr std::uint64_t kCkptVersion = 1;
+
+}  // namespace detail
+
+// One checkpoint payload in its on-disk word layout:
+//   [magic][version][seqno][next_ticket][nm][nm matcher words]
+//   [nt][nt x (ticket, edge id)]
+// The matcher words are DynamicMatcher::export_words' stream. The tickets
+// are the live (ticket, edge id) pairs sorted by ticket -- canonical
+// order, so the checkpoint bytes (and any fingerprint over them) are
+// independent of the table's probe layout.
+//
+// The payload exists once on each side of the disk: encode_checkpoint
+// streams the matcher into `words` on the matcher stage, the writer
+// frames `words` as they are, and load_newest_checkpoint reads the record
+// into `words`, whose sections the accessors below view in place.
 struct CheckpointData {
-  std::uint64_t seqno = 0;        // consistent with windows 1..seqno applied
-  std::uint64_t next_ticket = 0;  // safe resume point for the ticket counter
-  std::vector<std::uint64_t> matcher_words;  // DynamicMatcher::export_state
-  // Live (ticket, edge id) pairs sorted by ticket -- canonical order, so
-  // the checkpoint bytes (and any fingerprint over them) are independent
-  // of the table's probe layout.
-  std::vector<std::pair<std::uint64_t, graph::EdgeId>> tickets;
+  std::vector<std::uint64_t> words;
+
+  // The accessors need a well-formed payload: one from encode_checkpoint,
+  // or one load_newest_checkpoint accepted.
+  std::uint64_t seqno() const { return words[2]; }  // windows 1..seqno applied
+  std::uint64_t next_ticket() const { return words[3]; }  // safe resume point
+  std::span<const std::uint64_t> matcher_words() const {
+    return {words.data() + 5, static_cast<std::size_t>(words[4])};
+  }
+  template <class F>  // f(ticket, edge id), ascending ticket
+  void for_each_ticket(F&& f) const {
+    const std::size_t p = 5 + static_cast<std::size_t>(words[4]);
+    for (std::size_t i = p + 1; i < words.size(); i += 2)
+      f(words[i], static_cast<graph::EdgeId>(words[i + 1]));
+  }
+
+  // Whether `words` frames the layout above exactly. A payload can pass
+  // its CRC and still be wrong, so every count is checked against the
+  // words actually present before anything is sized or read by it.
+  bool well_formed() const {
+    const std::size_t n = words.size();
+    if (n < 6 || words[0] != detail::kCkptMagic ||
+        words[1] != detail::kCkptVersion)
+      return false;
+    const std::uint64_t nm = words[4];
+    if (nm > n - 6) return false;  // the matcher words, then [nt]
+    const std::size_t p = 6 + static_cast<std::size_t>(nm);
+    const std::uint64_t nt = words[p - 1];
+    return nt <= (n - p) / 2 && p + 2 * nt == n;
+  }
 };
+
+// Encodes a checkpoint payload. `export_matcher(put)` hands the matcher's
+// state words to `put` in stream order (DynamicMatcher::export_words);
+// `tickets` are sorted by ticket.
+template <class ExportMatcher>
+CheckpointData encode_checkpoint(
+    std::uint64_t seqno, std::uint64_t next_ticket,
+    ExportMatcher&& export_matcher,
+    std::span<const std::pair<std::uint64_t, graph::EdgeId>> tickets) {
+  CheckpointData d;
+  auto& w = d.words;
+  w = {detail::kCkptMagic, detail::kCkptVersion, seqno, next_ticket, 0};
+  export_matcher([&w](std::uint64_t x) { w.push_back(x); });
+  w[4] = w.size() - 5;
+  w.push_back(tickets.size());
+  for (const auto& [t, id] : tickets) {
+    w.push_back(t);
+    w.push_back(id);
+  }
+  return d;
+}
 
 inline std::string checkpoint_path(const std::string& dir,
                                    std::uint64_t seqno) {
   return dir + "/ckpt-" + std::to_string(seqno) + ".ckpt";
 }
 
-namespace detail {
-
-inline constexpr std::uint64_t kCkptMagic = 0x504D'434B'5054'3031ull;
-inline constexpr std::uint64_t kCkptVersion = 1;
-
-inline void encode_checkpoint(const CheckpointData& d,
-                              std::vector<std::uint64_t>& out) {
-  out.clear();
-  out.push_back(kCkptMagic);
-  out.push_back(kCkptVersion);
-  out.push_back(d.seqno);
-  out.push_back(d.next_ticket);
-  out.push_back(d.matcher_words.size());
-  out.insert(out.end(), d.matcher_words.begin(), d.matcher_words.end());
-  out.push_back(d.tickets.size());
-  for (const auto& [t, id] : d.tickets) {
-    out.push_back(t);
-    out.push_back(id);
-  }
-}
-
-inline bool decode_checkpoint(const std::vector<unsigned char>& raw,
-                              CheckpointData& d) {
-  if (raw.size() % sizeof(std::uint64_t) != 0) return false;
-  std::size_t n = raw.size() / sizeof(std::uint64_t);
-  const std::uint64_t* w = reinterpret_cast<const std::uint64_t*>(raw.data());
-  std::size_t p = 0;
-  auto need = [&](std::uint64_t k) { return n - p >= k; };
-  if (!need(5)) return false;
-  if (w[p++] != kCkptMagic || w[p++] != kCkptVersion) return false;
-  d.seqno = w[p++];
-  d.next_ticket = w[p++];
-  std::uint64_t nm = w[p++];
-  if (!need(nm + 1)) return false;
-  d.matcher_words.assign(w + p, w + p + nm);
-  p += nm;
-  std::uint64_t nt = w[p++];
-  if (!need(2 * nt)) return false;
-  d.tickets.clear();
-  d.tickets.reserve(static_cast<std::size_t>(nt));
-  for (std::uint64_t i = 0; i < nt; ++i) {
-    std::uint64_t t = w[p++];
-    std::uint64_t id = w[p++];
-    d.tickets.emplace_back(t, static_cast<graph::EdgeId>(id));
-  }
-  return p == n;
-}
-
-}  // namespace detail
-
 // Writes `d` crash-safely into `dir` (tmp + fdatasync + atomic rename).
 // Synchronous; the service wraps it in CheckpointWriter to keep it off the
 // drain. Returns false on any I/O failure (the tmp file is best-effort
 // removed; a stale .tmp is ignored by recovery either way).
 inline bool write_checkpoint(const std::string& dir, const CheckpointData& d) {
-  std::string tmp = checkpoint_path(dir, d.seqno) + ".tmp";
+  std::string tmp = checkpoint_path(dir, d.seqno()) + ".tmp";
   {
     util::io::RecordWriter w;
     if (!w.open(tmp)) return false;
-    std::vector<std::uint64_t> words;
-    detail::encode_checkpoint(d, words);
-    if (!w.append(words.data(), words.size() * sizeof(std::uint64_t)) ||
+    if (!w.append(d.words.data(), d.words.size() * sizeof(std::uint64_t)) ||
         !w.sync()) {
       w.close();
       std::remove(tmp.c_str());
@@ -130,7 +145,7 @@ inline bool write_checkpoint(const std::string& dir, const CheckpointData& d) {
     }
   }
   std::error_code ec;
-  std::filesystem::rename(tmp, checkpoint_path(dir, d.seqno), ec);
+  std::filesystem::rename(tmp, checkpoint_path(dir, d.seqno()), ec);
   if (ec) {
     std::remove(tmp.c_str());
     return false;
@@ -166,11 +181,10 @@ inline bool load_newest_checkpoint(const std::string& dir,
   for (std::size_t i = seqs.size(); i-- > 0;) {
     util::io::RecordReader r;
     if (!r.open(checkpoint_path(dir, seqs[i]))) continue;
-    std::vector<unsigned char> raw;
-    if (!r.next(raw)) continue;  // torn/corrupt: fall back to older
-    if (detail::decode_checkpoint(raw, out) && out.seqno == seqs[i])
-      return true;
+    if (!r.next(out.words)) continue;  // torn/corrupt: fall back to older
+    if (out.well_formed() && out.seqno() == seqs[i]) return true;
   }
+  out.words.clear();
   return false;
 }
 

@@ -525,10 +525,7 @@ class MatchService {
   // uncrashed one are the bit-identity acceptance check (DESIGN.md S14).
   // Same idle-only safety rule as matcher().
   std::uint64_t recovery_fingerprint() const {
-    std::vector<std::pair<std::uint64_t, EdgeId>> ts;
-    tickets_.for_each(
-        [&](std::uint64_t t, EdgeId id) { ts.emplace_back(t, id); });
-    std::sort(ts.begin(), ts.end());
+    auto ts = sorted_tickets();
     std::uint64_t h = dm_.state_fingerprint();
     h = hash64(h, ts.size());
     for (const auto& [t, id] : ts) h = hash64(h, hash64(t, id));
@@ -993,8 +990,7 @@ class MatchService {
     std::uint64_t ticket_bound = 0;
     CheckpointData ck;
     if (load_newest_checkpoint(cfg_.journal.dir, ck)) {
-      if (!dm_.import_state(std::span<const std::uint64_t>(ck.matcher_words),
-                            cfg_.max_vertices)) {
+      if (!dm_.import_state(ck.matcher_words(), cfg_.max_vertices)) {
         // A frame-valid checkpoint that fails matcher-level validation can
         // only be a logic bug or a cross-version file. The matcher may be
         // partially populated, so stop and surface it rather than replay
@@ -1003,10 +999,11 @@ class MatchService {
         return;
       }
       recovery_.ran = true;
-      recovery_.checkpoint_seqno = ck.seqno;
-      window_seqno_ = ck.seqno;
-      ticket_bound = ck.next_ticket;
-      for (const auto& [t, id] : ck.tickets) tickets_.put(t, id);
+      recovery_.checkpoint_seqno = ck.seqno();
+      window_seqno_ = ck.seqno();
+      ticket_bound = ck.next_ticket();
+      ck.for_each_ticket(
+          [&](std::uint64_t t, EdgeId id) { tickets_.put(t, id); });
     }
     JournalReplay rp(cfg_.journal.dir);
     JournalRecord rec;
@@ -1060,23 +1057,30 @@ class MatchService {
   }
 
   // Matcher-stage checkpoint cadence: every ckpt_every journaled windows,
-  // serialize the matcher + ticket table BETWEEN windows (an in-memory
-  // walk; the matcher thread owns both structures right here) and hand
-  // the snapshot to the background writer, which does all disk I/O. If
-  // the writer is still busy the snapshot is skipped and counted, never
-  // queued.
+  // encode the matcher + ticket table BETWEEN windows (an in-memory walk;
+  // the matcher thread owns both structures right here) straight into
+  // the checkpoint payload, and hand it to the background writer, which
+  // writes those words as they are and does all disk I/O. If the writer
+  // is still busy the snapshot is skipped and counted, never queued.
   void maybe_checkpoint() {
     if (cfg_.journal.ckpt_every == 0) return;
     if (++windows_since_ckpt_ < cfg_.journal.ckpt_every) return;
     windows_since_ckpt_ = 0;
-    CheckpointData d;
-    d.seqno = window_seqno_;
-    d.next_ticket = next_ticket_.load(std::memory_order_acquire);
-    dm_.export_state(d.matcher_words);
-    tickets_.for_each(
-        [&](std::uint64_t t, EdgeId id) { d.tickets.emplace_back(t, id); });
-    std::sort(d.tickets.begin(), d.tickets.end());
+    auto ts = sorted_tickets();
+    CheckpointData d = encode_checkpoint(
+        window_seqno_, next_ticket_.load(std::memory_order_acquire),
+        [&](auto&& put) { dm_.export_words(put); }, ts);
     if (!ckpt_writer_.submit(std::move(d))) ++ckpt_skipped_;
+  }
+
+  // Live (ticket, edge id) pairs in ticket order: the canonical order the
+  // checkpoint and recovery_fingerprint both use.
+  std::vector<std::pair<std::uint64_t, EdgeId>> sorted_tickets() const {
+    std::vector<std::pair<std::uint64_t, EdgeId>> ts;
+    tickets_.for_each(
+        [&](std::uint64_t t, EdgeId id) { ts.emplace_back(t, id); });
+    std::sort(ts.begin(), ts.end());
+    return ts;
   }
 
   // Async-policy durability thread: one fdatasync per fsync_every_us,

@@ -45,6 +45,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "crc32c.h"
@@ -245,17 +246,21 @@ class RecordReader {
 
   bool is_open() const { return fd_ >= 0; }
 
-  // Reads the next record's payload into `out`. Returns false at end of
-  // log -- including at the first torn or corrupt frame, whose bytes are
-  // deliberately indistinguishable from "no more records".
-  bool next(std::vector<unsigned char>& out) {
+  // Reads the next record's payload into `out`, as bytes (the journal) or
+  // as whole words (a checkpoint reads u64s it can view in place). Returns
+  // false at end of log -- including at the first torn or corrupt frame,
+  // whose bytes are deliberately indistinguishable from "no more records",
+  // and at a payload that is not a whole number of T.
+  template <class T>
+  bool next(std::vector<T>& out) {
+    static_assert(std::is_trivially_copyable_v<T>);
     if (fd_ < 0 || off_ + kFrameHeaderBytes > size_) return false;
     std::uint32_t hdr[2];
     if (!detail::read_exact(fd_, off_, hdr, sizeof hdr)) return false;
     const std::uint32_t len = hdr[0], crc = hdr[1];
-    if (len > kMaxRecordBytes) return false;
+    if (len > kMaxRecordBytes || len % sizeof(T) != 0) return false;
     if (off_ + kFrameHeaderBytes + len > size_) return false;
-    out.resize(len);
+    out.resize(len / sizeof(T));
     if (len > 0 &&
         !detail::read_exact(fd_, off_ + kFrameHeaderBytes, out.data(), len))
       return false;

@@ -3,7 +3,8 @@
 // allocations. This binary replaces the global operator new/delete with
 // counting versions (which is why it is a separate test executable --
 // parmatch_alloc_test -- instead of a TU of the main suite) and asserts the
-// counter does not move across post-warmup batches.
+// counter does not move across post-warmup batches. The same counter
+// bounds state_fingerprint's allocations on a large matcher.
 //
 // The warmup drives enough churn cycles that every named workspace vector
 // reaches its high-water capacity, the bump arena its high-water footprint,
@@ -103,6 +104,30 @@ TEST(AllocFree, SteadyStateBatchesDoNotTouchTheHeap) {
 
   // The scratch arena really is in use (the audit is not vacuous).
   EXPECT_GT(dm.workspace().arena.capacity(), 0u);
+}
+
+// state_fingerprint folds the export stream as it is emitted instead of
+// collecting it: on a matcher holding 100k+ live edges it makes at most
+// one heap allocation (the chain section's has-live bitmap), where a
+// collected stream would reallocate once per doubling.
+TEST(AllocFree, StateFingerprintStreamsTheExport) {
+  dyn::Config cfg;
+  cfg.seed = 13;
+  dyn::DynamicMatcher dm(cfg);
+  auto ids = dm.insert_edges(gen::erdos_renyi(50'000, 120'000, 7));
+  // Churn, so the pool has a free list and chains hold stale refs.
+  std::vector<EdgeId> doomed(ids.begin(), ids.begin() + 15'000);
+  dm.delete_edges(doomed);
+  dm.insert_edges(gen::erdos_renyi(50'000, 10'000, 8));
+  ASSERT_GE(dm.pool().live_count(), 100'000u);
+
+  std::uint64_t before = g_news.load(std::memory_order_relaxed);
+  std::uint64_t fp = dm.state_fingerprint();
+  std::uint64_t after = g_news.load(std::memory_order_relaxed);
+  EXPECT_LE(after - before, 1u)
+      << "state_fingerprint performed " << (after - before)
+      << " heap allocations";
+  EXPECT_EQ(fp, dm.state_fingerprint());
 }
 
 // The deterministic-reservations engine's own steady state: once the arena

@@ -13,6 +13,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -281,6 +282,81 @@ TEST(MatcherState, ImportRejectsConfigMismatchAndGarbage) {
   EXPECT_FALSE(fresh.import_state(truncated, 4));
 }
 
+// state_fingerprint folds export_words' stream without storing it; it must
+// stay the fold of export_state's words exactly.
+std::uint64_t fold_of_export(const dyn::DynamicMatcher& m) {
+  std::vector<std::uint64_t> words;
+  m.export_state(words);
+  std::uint64_t h = 0x5EED'F00D'CAFE'D00Dull;
+  for (std::uint64_t w : words) h = hash64(h, w);
+  return h;
+}
+
+TEST(MatcherState, FingerprintIsTheFoldOfTheExport) {
+  dyn::Config cfg;
+  cfg.seed = 8;
+  {
+    dyn::DynamicMatcher empty(cfg);
+    EXPECT_EQ(empty.state_fingerprint(), fold_of_export(empty));
+  }
+  {
+    // Mixed churn over a workload script.
+    gen::Workload w = gen::churn(gen::erdos_renyi(400, 1'600, 3), 3, 0.5, 4);
+    dyn::DynamicMatcher m(cfg);
+    std::vector<EdgeId> live(w.master.size(), graph::kInvalidEdge);
+    for (const gen::Step& s : w.steps) {
+      if (s.is_insert) {
+        graph::EdgeBatch chunk;
+        for (std::size_t i : s.edges) chunk.add(w.master.edge(i));
+        auto ids = m.insert_edges(chunk);
+        for (std::size_t j = 0; j < ids.size(); ++j) live[s.edges[j]] = ids[j];
+      } else {
+        std::vector<EdgeId> ids;
+        for (std::size_t i : s.edges) ids.push_back(live[i]);
+        m.delete_edges(ids);
+      }
+      ASSERT_EQ(m.state_fingerprint(), fold_of_export(m));
+    }
+  }
+  {
+    // Stale chain entries: a star whose hub stays matched while its
+    // unmatched spokes are deleted. Chains compact lazily, on a scan, and
+    // nothing rescans the hub, so its chain keeps the dead refs and the
+    // export's counting walk must skip them. The stream still imports,
+    // and the imported matcher's chains are compact: resettling the hub
+    // later costs it fewer work units than the original.
+    constexpr VertexId kSpokes = 40;
+    dyn::DynamicMatcher a(cfg);
+    graph::EdgeBatch star;
+    for (VertexId v = 1; v <= kSpokes; ++v) star.add({0, v});
+    auto ids = a.insert_edges(star);
+    EdgeId hub_match = a.match_of(0);
+    ASSERT_NE(hub_match, graph::kInvalidEdge);
+    std::vector<EdgeId> spokes;
+    for (EdgeId e : ids)
+      if (e != hub_match && spokes.size() + 2 < kSpokes) spokes.push_back(e);
+    a.delete_edges(spokes);
+    ASSERT_EQ(a.match_of(0), hub_match);
+    EXPECT_EQ(a.state_fingerprint(), fold_of_export(a));
+
+    std::vector<std::uint64_t> words;
+    a.export_state(words);
+    dyn::DynamicMatcher b(cfg);
+    ASSERT_TRUE(b.import_state(words, kSpokes + 1));
+    EXPECT_EQ(b.state_fingerprint(), a.state_fingerprint());
+
+    std::size_t work_a = a.cumulative_stats().work_units;
+    std::size_t work_b = b.cumulative_stats().work_units;
+    std::vector<EdgeId> hub = {hub_match};
+    a.delete_edges(hub);
+    b.delete_edges(hub);
+    EXPECT_EQ(a.state_fingerprint(), b.state_fingerprint());
+    EXPECT_GT(a.cumulative_stats().work_units - work_a,
+              b.cumulative_stats().work_units - work_b)
+        << "the hub's chain held no stale entries to skip";
+  }
+}
+
 // Offsets into a DynamicMatcher::export_state stream of rank-2 edges: 9
 // header words, then the pool -- [nslots][vertex_bound][live][nfree][free
 // ids][slot data packed 2 x u32 per word] -- then [nlive][priorities][nm]
@@ -534,20 +610,34 @@ TEST(MatcherState, ExportTracksLiveStateNotVertexBound) {
 
 // ---- checkpoint files ----------------------------------------------------
 
+std::vector<std::pair<std::uint64_t, EdgeId>> tickets_of(
+    const serve::CheckpointData& d) {
+  std::vector<std::pair<std::uint64_t, EdgeId>> ts;
+  d.for_each_ticket(
+      [&](std::uint64_t t, EdgeId id) { ts.emplace_back(t, id); });
+  return ts;
+}
+
 TEST(Checkpoint, WriteLoadFallbackAndPrune) {
   DirGuard g(temp_dir("ckpt"));
+  const std::vector<std::pair<std::uint64_t, EdgeId>> ts = {{1, 10}, {2, 20}};
   for (std::uint64_t seq : {5ull, 9ull, 12ull}) {
-    serve::CheckpointData d;
-    d.seqno = seq;
-    d.next_ticket = seq * 100;
-    d.matcher_words = {seq, seq + 1, seq + 2};
-    d.tickets = {{1, 10}, {2, 20}};
+    serve::CheckpointData d = serve::encode_checkpoint(
+        seq, seq * 100,
+        [&](auto&& put) {
+          for (std::uint64_t w : {seq, seq + 1, seq + 2}) put(w);
+        },
+        ts);
     ASSERT_TRUE(serve::write_checkpoint(g.dir, d));
   }
   serve::CheckpointData out;
   ASSERT_TRUE(serve::load_newest_checkpoint(g.dir, out));
-  EXPECT_EQ(out.seqno, 12u);
-  EXPECT_EQ(out.next_ticket, 1200u);
+  EXPECT_EQ(out.seqno(), 12u);
+  EXPECT_EQ(out.next_ticket(), 1200u);
+  EXPECT_EQ(std::vector<std::uint64_t>(out.matcher_words().begin(),
+                                       out.matcher_words().end()),
+            (std::vector<std::uint64_t>{12, 13, 14}));
+  EXPECT_EQ(tickets_of(out), ts);
 
   // Corrupt the newest file: load must fall back to seqno 9, not abort.
   {
@@ -558,12 +648,85 @@ TEST(Checkpoint, WriteLoadFallbackAndPrune) {
     std::fclose(f);
   }
   ASSERT_TRUE(serve::load_newest_checkpoint(g.dir, out));
-  EXPECT_EQ(out.seqno, 9u);
+  EXPECT_EQ(out.seqno(), 9u);
 
   serve::prune_checkpoints(g.dir, 2);
   EXPECT_EQ(serve::list_checkpoints(g.dir).size(), 2u);
   EXPECT_FALSE(
       std::filesystem::exists(serve::checkpoint_path(g.dir, 5)));
+}
+
+// The one-copy path end to end: the matcher streams straight into the
+// payload, the file holds exactly that payload in one frame, and the load
+// views the matcher words in the record it read -- which import into a
+// fresh matcher with the same fingerprint.
+TEST(Checkpoint, EncodedMatcherRoundTripsThroughOneCopy) {
+  DirGuard g(temp_dir("ckpt_matcher"));
+  constexpr VertexId kN = 300;
+  dyn::Config cfg;
+  cfg.seed = 9;
+  dyn::DynamicMatcher a(cfg);
+  auto ids = a.insert_edges(gen::erdos_renyi(kN, 900, 31));
+  a.delete_edges(std::vector<EdgeId>(ids.begin(), ids.begin() + 200));
+  const std::vector<std::pair<std::uint64_t, EdgeId>> ts = {
+      {3, 7}, {8, 2}, {40, 11}};
+  serve::CheckpointData d = serve::encode_checkpoint(
+      17, 41, [&](auto&& put) { a.export_words(put); }, ts);
+  ASSERT_TRUE(d.well_formed());
+  std::vector<std::uint64_t> words;
+  a.export_state(words);
+  EXPECT_TRUE(std::ranges::equal(d.matcher_words(), words));
+  ASSERT_TRUE(serve::write_checkpoint(g.dir, d));
+  EXPECT_EQ(std::filesystem::file_size(serve::checkpoint_path(g.dir, 17)),
+            util::io::kFrameHeaderBytes + d.words.size() * 8);
+
+  serve::CheckpointData out;
+  ASSERT_TRUE(serve::load_newest_checkpoint(g.dir, out));
+  EXPECT_EQ(out.words, d.words);
+  EXPECT_EQ(out.seqno(), 17u);
+  EXPECT_EQ(out.next_ticket(), 41u);
+  EXPECT_EQ(tickets_of(out), ts);
+  dyn::DynamicMatcher b(cfg);
+  ASSERT_TRUE(b.import_state(out.matcher_words(), kN));
+  EXPECT_EQ(b.state_fingerprint(), a.state_fingerprint());
+}
+
+// A checkpoint payload can pass its CRC and still be wrong. Counts that
+// overrun the payload -- including ones whose doubling or +1 wraps -- and
+// trailing words must read as corrupt, so the load falls back to the
+// older good checkpoint instead of sizing or reading by them.
+TEST(Checkpoint, LoadRejectsMalformedPayloads) {
+  DirGuard g(temp_dir("ckpt_malformed"));
+  const std::vector<std::pair<std::uint64_t, EdgeId>> ts = {{1, 10}};
+  auto encode = [&](std::uint64_t seq) {
+    return serve::encode_checkpoint(
+        seq, 100, [](auto&& put) { put(std::uint64_t{77}); }, ts);
+  };
+  ASSERT_TRUE(serve::write_checkpoint(g.dir, encode(3)));
+  // encode(4).words: [magic][version][4][100][1][77][1][1][10]
+  auto crafted = [&](auto edit) {
+    serve::CheckpointData d = encode(4);
+    edit(d.words);
+    {
+      util::io::RecordWriter w;
+      EXPECT_TRUE(w.open(serve::checkpoint_path(g.dir, 4)));
+      EXPECT_TRUE(w.append(d.words.data(), d.words.size() * 8));
+    }
+    serve::CheckpointData out;
+    bool loaded = serve::load_newest_checkpoint(g.dir, out);
+    std::filesystem::remove(serve::checkpoint_path(g.dir, 4));
+    return loaded ? out.seqno() : 0;
+  };
+  EXPECT_EQ(crafted([](auto&) {}), 4u) << "the unedited payload must load";
+  EXPECT_EQ(crafted([](auto& w) { w[4] = ~0ull; }), 3u) << "nm + 1 wraps";
+  EXPECT_EQ(crafted([](auto& w) { w[4] = 4; }), 3u) << "nm overruns";
+  EXPECT_EQ(crafted([](auto& w) { w[6] = 1ull << 63; }), 3u)
+      << "2 * nt wraps";
+  EXPECT_EQ(crafted([](auto& w) { w[6] = 2; }), 3u) << "nt overruns";
+  EXPECT_EQ(crafted([](auto& w) { w.push_back(0); }), 3u)
+      << "trailing word";
+  EXPECT_EQ(crafted([](auto& w) { w[1] += 1; }), 3u) << "version";
+  EXPECT_EQ(crafted([](auto& w) { w.resize(5); }), 3u) << "short header";
 }
 
 // ---- service-level recovery ----------------------------------------------
