@@ -43,7 +43,6 @@ class RecomputeMatcher {
   }
 
   std::vector<EdgeId> matching() const { return last_.matched; }
-  const matching::MatchResult& last_result() const { return last_; }
   const graph::EdgePool& pool() const { return pool_; }
 
  private:

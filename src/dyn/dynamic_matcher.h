@@ -133,7 +133,7 @@
 #include "prims/filter.h"
 #include "prims/group_by.h"
 #include "prims/radix_sort.h"
-#include "prims/reduce.h"
+#include "prims/scan.h"
 #include "prims/speculative_for.h"
 #include "util/prefetch.h"
 #include "util/rng.h"

@@ -1,12 +1,10 @@
 // prims/filter.h -- stable parallel pack/filter (DESIGN.md S3): the
 // primitive behind every "keep the still-active items" step of a batch.
 //
-// Two families. The vector-returning filter (cold paths and tests) counts,
-// scans and scatters over a keep predicate. pack_blocks, the matcher's
-// form, hands the caller's body whole [b, e) blocks: the body scans its
-// block once, may update state as it goes, and writes its kept items in
-// order. Whether the phase runs as one inline block or as forked blocks is
-// decided here, from parallel::run_phase_seq(n) unless the caller passes
+// pack_blocks hands the caller's body whole [b, e) blocks: the body scans
+// its block once, may update state as it goes, and writes its kept items
+// in order. Whether the phase runs as one inline block or as forked blocks
+// is decided here, from parallel::run_phase_seq(n) unless the caller passes
 // its own answer, so a phase written over a block has one body for both
 // executions; its output and staging come from a caller ScratchArena
 // (DESIGN.md S7's zero-allocation batch contract).
@@ -21,7 +19,6 @@
 #include <cstdint>
 #include <span>
 #include <utility>
-#include <vector>
 
 #include "parallel/parallel_for.h"
 #include "util/scratch_arena.h"
@@ -182,24 +179,6 @@ std::pair<std::span<T>, std::span<T>> pack_blocks2(std::size_t n, Body&& body,
   auto out2 = arena.alloc<T>(n);
   auto [n1, n2] = body(std::size_t{0}, n, out1.data(), out2.data());
   return {out1.first(n1), out2.first(n2)};
-}
-
-// Original vector-returning filter (cold paths and tests).
-template <typename T, typename Pred>
-std::vector<T> filter(std::span<const T> in, Pred&& keep) {
-  std::size_t n = in.size();
-  if (n == 0) return {};
-  std::size_t grain = parallel::default_grain(n);
-  std::size_t blocks = (n + grain - 1) / grain;
-  std::vector<std::size_t> count(blocks, 0);
-  auto keep_i = [&](std::size_t i) { return keep(in[i]); };
-  std::size_t total = detail::pack_offsets(
-      n, grain, std::span<std::size_t>(count), keep_i);
-  std::vector<T> out(total);
-  detail::pack_scatter(n, grain, std::span<const std::size_t>(count),
-                       out.data(), keep_i,
-                       [&](std::size_t i) { return in[i]; });
-  return out;
 }
 
 }  // namespace parmatch::prims

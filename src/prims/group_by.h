@@ -4,16 +4,15 @@
 // primitive.
 //
 // Complexity contract: O(n) work via radix sort on the key bits actually
-// used (the arena form buckets at most kGroupByProbeMax pairs by linear
-// probes instead); deterministic output, grouped values contiguous and in
-// input order within each group.
+// used (at most kGroupByProbeMax pairs are bucketed by linear probes
+// instead); deterministic output, grouped values contiguous and in input
+// order within each group.
 #pragma once
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "parallel/parallel_for.h"
 #include "prims/filter.h"
@@ -22,62 +21,13 @@
 
 namespace parmatch::prims {
 
-template <typename K, typename V>
-struct Grouped {
-  std::vector<K> keys;                  // distinct keys, ascending
-  std::vector<std::uint32_t> offsets;   // keys.size()+1 offsets into values
-  std::vector<V> values;
-
-  std::size_t num_groups() const { return keys.size(); }
-  std::span<const V> group(std::size_t g) const {
-    return {values.data() + offsets[g], values.data() + offsets[g + 1]};
-  }
-};
-
-template <typename K, typename V>
-Grouped<K, V> group_by(std::span<const K> keys, std::span<const V> values) {
-  Grouped<K, V> out;
-  std::size_t n = keys.size();
-  if (n == 0) {
-    out.offsets.push_back(0);
-    return out;
-  }
-  struct Pair {
-    K k;
-    V v;
-  };
-  std::vector<Pair> pairs(n);
-  K maxk = K{};
-  for (std::size_t i = 0; i < n; ++i) {  // max is cheap; pairs fill parallel
-    if (keys[i] > maxk) maxk = keys[i];
-  }
-  parallel::parallel_for(0, n, [&](std::size_t i) {
-    pairs[i] = Pair{keys[i], values[i]};
-  });
-  int bits = std::bit_width(static_cast<std::uint64_t>(maxk));
-  if (bits == 0) bits = 1;
-  radix_sort(pairs, [](const Pair& p) { return static_cast<std::uint64_t>(p.k); },
-             bits);
-  out.values.resize(n);
-  out.offsets.push_back(0);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.values[i] = pairs[i].v;
-    if (i == 0 || pairs[i].k != pairs[i - 1].k) {
-      out.keys.push_back(pairs[i].k);
-      if (i != 0) out.offsets.push_back(static_cast<std::uint32_t>(i));
-    }
-  }
-  out.offsets.push_back(static_cast<std::uint32_t>(n));
-  return out;
-}
-
-// Arena semisort (the matcher's insert P2). The caller fills the
-// (key, value) pairs in place -- no separate key and value arrays to zip --
-// and every buffer (sort scratch, outputs) is carved from its
-// ScratchArena. Each distinct key gets one group whose values keep their
-// input order; the ORDER of the groups is unspecified (callers that need
-// an order sort what they derive from the groups). View spans are valid
-// until the arena resets.
+// The matcher's insert P2 semisort. The caller fills the (key, value)
+// pairs in place -- no separate key and value arrays to zip -- and every
+// buffer (sort scratch, outputs) is carved from its ScratchArena. Each
+// distinct key gets one group whose values keep their input order; the
+// ORDER of the groups is unspecified (callers that need an order sort what
+// they derive from the groups). View spans are valid until the arena
+// resets.
 template <typename K, typename V>
 struct KeyValue {
   K key;

@@ -147,7 +147,6 @@ class BatchFormer {
   const FormerConfig& config() const { return cfg_; }
 
   bool empty() const { return window_.empty(); }
-  std::size_t window_size() const { return window_.size(); }
   bool window_full() const { return window_.size() >= cfg_.max_batch; }
 
   void add(const UpdateRequest& r) {

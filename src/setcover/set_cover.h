@@ -13,25 +13,42 @@
 // DynamicSetCover maintains this under element insertions/deletions by
 // delegating to dyn::DynamicMatcher -- O(r^3) amortized work per element
 // update (Corollary 1.4); static_set_cover runs the static greedy matcher
-// for O(m') expected work (Corollary 1.5).
+// for O(m') expected work (Corollary 1.5). Both gather the cover with
+// touched_sets: one radix sort of the matched elements' sets, then unique.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
-#include "containers/flat_hash_set.h"
 #include "dyn/dynamic_matcher.h"
 #include "graph/edge.h"
 #include "graph/edge_batch.h"
 #include "graph/edge_pool.h"
 #include "matching/parallel_greedy.h"
+#include "prims/radix_sort.h"
 
 namespace parmatch::setcover {
 
 using SetId = graph::VertexId;        // sets play the role of vertices
 using ElementId = graph::EdgeId;      // elements play the role of edges
 using ElementBatch = graph::EdgeBatch;
+
+// The sets touched by the matched elements, ascending and without repeats.
+// Matched elements share no set, so a repeat comes only from an element
+// that lists a set twice. O(|matched| * r) work: the 32-bit radix sort is
+// linear.
+inline std::vector<SetId> touched_sets(const graph::EdgePool& pool,
+                                       std::span<const ElementId> matched) {
+  std::vector<SetId> sets;
+  for (ElementId e : matched)
+    for (SetId s : pool.vertices(e)) sets.push_back(s);
+  prims::radix_sort(sets, [](SetId s) { return std::uint64_t{s}; }, 32);
+  sets.erase(std::unique(sets.begin(), sets.end()), sets.end());
+  return sets;
+}
 
 class DynamicSetCover {
  public:
@@ -52,12 +69,9 @@ class DynamicSetCover {
 
   std::size_t matching_size() const { return matcher_.matched_count(); }
 
-  // Sets touched by matched elements. O(matching * r) per call.
+  // Sets touched by matched elements, ascending. O(matching * r) per call.
   std::vector<SetId> cover() const {
-    ct::flat_hash_set<SetId> sets;
-    for (ElementId e : matcher_.matching())
-      for (SetId s : matcher_.pool().vertices(e)) sets.insert(s);
-    return sets.elements();
+    return touched_sets(matcher_.pool(), matcher_.matching());
   }
 
   std::size_t cover_size() const { return cover().size(); }
@@ -83,11 +97,8 @@ inline StaticCoverResult static_set_cover(const ElementBatch& system,
   graph::EdgePool pool(r);
   auto ids = pool.add_edges(system);
   auto match = matching::parallel_greedy_match(pool, ids, seed);
-  ct::flat_hash_set<SetId> sets;
-  for (ElementId e : match.matched)
-    for (SetId s : pool.vertices(e)) sets.insert(s);
   StaticCoverResult out;
-  out.cover = sets.elements();
+  out.cover = touched_sets(pool, match.matched);
   out.matching_size = match.matched.size();
   return out;
 }

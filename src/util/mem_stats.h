@@ -37,9 +37,4 @@ inline std::size_t proc_status_kb(const char* key) {
 // High-water-mark resident set size of this process, in bytes (VmHWM).
 inline std::size_t peak_rss_bytes() { return proc_status_kb("VmHWM:") * 1024; }
 
-// Current resident set size, in bytes (VmRSS).
-inline std::size_t current_rss_bytes() {
-  return proc_status_kb("VmRSS:") * 1024;
-}
-
 }  // namespace parmatch::util

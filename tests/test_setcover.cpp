@@ -1,10 +1,14 @@
 // Set-cover-via-matching tests (paper Corollaries 1.4 / 1.5): the cover
-// must cover every live element and its size must be within a factor r of
-// the matching lower bound, statically and under element churn.
+// must cover every live element, be exactly the sets the matched elements
+// touch (ascending, no repeats) and be within a factor r of the matching
+// lower bound, statically and under element churn.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <vector>
 
+#include "graph/edge_pool.h"
+#include "matching/parallel_greedy.h"
 #include "setcover/set_cover.h"
 #include "util/rng.h"
 
@@ -50,6 +54,16 @@ void check_cover(const std::vector<SetId>& cover, const ElementBatch& system,
   }
 }
 
+// std::set reference for the cover: every set a matched element touches,
+// ascending, each once.
+std::vector<SetId> touched_reference(const graph::EdgePool& pool,
+                                     const std::vector<ElementId>& matched) {
+  std::set<SetId> sets;
+  for (ElementId e : matched)
+    for (SetId s : pool.vertices(e)) sets.insert(s);
+  return {sets.begin(), sets.end()};
+}
+
 TEST(SetCover, StaticCoverIsValidAndRApprox) {
   const std::size_t r = 4;
   auto system = random_system(400, 3'000, r, 3);
@@ -58,6 +72,25 @@ TEST(SetCover, StaticCoverIsValidAndRApprox) {
   EXPECT_LE(res.cover.size(), r * res.matching_size);
   std::vector<bool> live(system.size(), true);
   check_cover(res.cover, system, live);
+
+  // The same matching, run outside static_set_cover (same pool, same seed).
+  graph::EdgePool pool(r);
+  auto ids = pool.add_edges(system);
+  auto match = matching::parallel_greedy_match(pool, ids, 13);
+  ASSERT_EQ(match.matched.size(), res.matching_size);
+  EXPECT_EQ(res.cover, touched_reference(pool, match.matched));
+}
+
+TEST(SetCover, ElementListingASetTwiceAddsItOnce) {
+  ElementBatch system;
+  for (std::vector<SetId> sets : {std::vector<SetId>{3, 3},
+                                  std::vector<SetId>{7, 5}})
+    system.add(std::span<const SetId>(sets));
+  const std::vector<SetId> expect{3, 5, 7};
+  EXPECT_EQ(setcover::static_set_cover(system, 2, 1).cover, expect);
+  setcover::DynamicSetCover cover(2, 1);
+  cover.insert_elements(system);
+  EXPECT_EQ(cover.cover(), expect);
 }
 
 TEST(SetCover, DynamicChurnKeepsCoverValid) {
@@ -92,6 +125,8 @@ TEST(SetCover, DynamicChurnKeepsCoverValid) {
       cover.delete_elements(victims);
     }
     check_cover(cover.cover(), system, live);
+    EXPECT_EQ(cover.cover(), touched_reference(cover.matcher().pool(),
+                                               cover.matcher().matching()));
     EXPECT_LE(cover.cover_size(), r * cover.matching_size());
   }
   EXPECT_GT(cover.matching_size(), 0u);
