@@ -84,12 +84,20 @@
 // inline one; everything else is per-vertex or per-edge ownership.
 //
 // Hot-state packing (DESIGN.md S11): the per-vertex fields the claim and
-// settle loops touch (taken_by / min_edge / live_deg, plus the embedded
-// incidence-chain header) live in one 32-byte matching::VertexHot record,
-// and the per-edge fields (bloat threshold / growth / matched-list
-// position) in one 16-byte EdgeHot record, so each batch-random vertex or
-// match costs one cache line, prefetched kPrefetchAhead iterations early
-// in the scanning loops.
+// settle loops touch (taken_by / match_pos / min_edge / live_deg, plus the
+// embedded incidence-chain header) live in one 32-byte matching::VertexHot
+// record, and each match's bloat state (edge / growth / threshold) in one
+// 16-byte MatchHot record of the dense match list, at the vertex's
+// match_pos -- so each batch-random vertex or match costs one cache line,
+// prefetched kPrefetchAhead iterations early in the scanning loops, and
+// the bloat state costs 16 B per match, not per edge id.
+//
+// Memory follows the live state (DESIGN.md S7): the adjacency arena
+// recycles the chunks a compaction empties and the chain of a vertex whose
+// live degree reaches 0 (the delete pass's decrement to 0 owns that
+// release; an inline pass lends the vertex its head chunk until the free
+// list runs dry), so the chunks held track the live incidences, not each
+// vertex's high-water degree.
 //
 // Allocation discipline (DESIGN.md S7): every transient buffer comes from
 // the per-matcher BatchWorkspace (dyn/workspace.h) -- named vectors that
@@ -149,17 +157,18 @@ struct Config {
   bool light_only = false;       // footnote-8 ablation: no levels/resampling
 };
 
-// Packed per-edge hot state of a *matched* edge: the bloat machinery
-// (threshold already encodes the level-quantized settle size, so the raw
-// size needs no slot of its own) plus the edge's position in the matched
-// list -- so the growth bump, the commit, and the unmatch each touch ONE
-// cache line instead of two or three vector lookups megabytes apart.
-struct EdgeHot {
-  std::uint64_t threshold = 0;    // bloat threshold for the current match
-  std::uint32_t growth = 0;       // neighborhood inserts since settle
-  std::uint32_t matched_pos = 0;  // index in matched_edges_ while matched
+// One entry of the dense match list: the matched edge and its bloat
+// machinery (threshold already encodes the level-quantized settle size, so
+// the raw size needs no slot of its own). Each endpoint's
+// VertexHot::match_pos indexes it, so the growth bump, the commit and the
+// unmatch each touch ONE line of it, and the list costs 16 B per match
+// instead of per edge id.
+struct MatchHot {
+  graph::EdgeId edge = graph::kInvalidEdge;
+  std::uint32_t growth = 0;     // neighborhood inserts since settle
+  std::uint64_t threshold = 0;  // bloat threshold for the current match
 };
-static_assert(sizeof(EdgeHot) == 16);
+static_assert(sizeof(MatchHot) == 16);
 
 class DynamicMatcher {
   using EdgeId = graph::EdgeId;
@@ -300,7 +309,11 @@ class DynamicMatcher {
     // are disjoint, matched edges are vertex-disjoint, and the victim test
     // reads only taken_by, which the pass never writes -- so any
     // interleaving computes the same state. An endpoint may lose several
-    // edges of this batch, hence fetch-sub when the blocks fork.
+    // edges of this batch, hence fetch-sub when the blocks fork. The
+    // decrement that takes live_deg to 0 owns the vertex's chain, whose
+    // entries are all stale now: a forked pass returns the whole chain to
+    // the adjacency arena, an inline one empties it but keeps its head
+    // chunk for the vertex's refill (see reclaim_kept_heads).
     std::size_t n = lv.size();
     charge_phases(2, n);  // rank map + reduce
     charge_phase(n);      // victim scan
@@ -323,11 +336,20 @@ class DynamicMatcher {
                 sum += vs.size();
                 if (vh_[vs[0]].taken_by == d) out[w++] = d;
                 for (VertexId v : vs) {
+                  std::uint32_t left;
                   if (seq)
-                    --vh_[v].live_deg;
+                    left = --vh_[v].live_deg;
                   else
-                    std::atomic_ref<std::uint32_t>(vh_[v].live_deg)
-                        .fetch_sub(1, std::memory_order_relaxed);
+                    left = std::atomic_ref<std::uint32_t>(vh_[v].live_deg)
+                               .fetch_sub(1, std::memory_order_relaxed) -
+                           1;
+                  if (left != 0) continue;
+                  if (seq) {
+                    adj_.clear_keep_head(vh_[v].adj);
+                    kept_heads_.push_back(v);
+                  } else {
+                    adj_.release_chain(vh_[v].adj, false);
+                  }
                 }
               });
           add_block_sum(rank_sum, sum, seq);
@@ -347,7 +369,8 @@ class DynamicMatcher {
   // The current matching (ascending ids). O(|M|): the matched set is
   // maintained explicitly, never rebuilt by scanning the id space.
   std::vector<EdgeId> matching() const {
-    std::vector<EdgeId> out(matched_edges_);
+    std::vector<EdgeId> out(matches_.size());
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = matches_[i].edge;
     prims::radix_sort(out, [](EdgeId e) { return std::uint64_t(e); },
                       id_bits());
     return out;
@@ -373,7 +396,7 @@ class DynamicMatcher {
   // inside a forked phase, and a null sink (the default) costs nothing.
   void set_delta_sink(std::vector<VertexId>* sink) { delta_sink_ = sink; }
 
-  std::size_t matched_count() const { return matched_edges_.size(); }
+  std::size_t matched_count() const { return matches_.size(); }
   const graph::EdgePool& pool() const { return pool_; }
   const Config& config() const { return cfg_; }
   const CumulativeStats& cumulative_stats() const { return stats_; }
@@ -382,17 +405,24 @@ class DynamicMatcher {
   // Scratch high-water diagnostics (tests/test_alloc_free.cpp).
   const BatchWorkspace& workspace() const { return ws_; }
 
-  // Heap bytes held by the structure proper: the edge-record pool, the
-  // adjacency chunk slabs, and the per-vertex/per-edge hot arrays (the
-  // benches' bytes-per-update accounting; scratch workspace excluded --
-  // it is bounded by the largest batch, not the graph).
+  // Bytes of state the structure proper holds: the edge-record pool, the
+  // adjacency chunks linked into chains, and the per-vertex, per-edge and
+  // per-match arrays, each counted by size, not capacity (the benches'
+  // bytes-per-live-edge accounting; free adjacency chunks, vector slack
+  // and the scratch workspace -- bounded by the largest batch, not the
+  // graph -- are excluded).
   std::size_t memory_bytes() const {
     return pool_.memory_bytes() + adj_.memory_bytes() +
-           pri_.capacity() * sizeof(std::uint64_t) +
-           ehot_.capacity() * sizeof(EdgeHot) +
-           vh_.capacity() * sizeof(matching::VertexHot) +
-           matched_edges_.capacity() * sizeof(EdgeId);
+           pri_.size() * sizeof(std::uint64_t) +
+           vh_.size() * sizeof(matching::VertexHot) +
+           matches_.size() * sizeof(MatchHot) +
+           kept_heads_.size() * sizeof(VertexId);
   }
+
+  // Diagnostics for the memory tests: the adjacency arena and the
+  // per-vertex hot records (chain headers, live degrees).
+  const graph::ChunkedAdjacency& adjacency() const { return adj_; }
+  std::span<const matching::VertexHot> vertex_records() const { return vh_; }
 
   // ---- checkpoint serialization (DESIGN.md S14) ------------------------
   //
@@ -444,11 +474,11 @@ class DynamicMatcher {
     put(pool_.live_count());
     for (std::size_t id = 0; id < ib; ++id)
       if (pool_.live(static_cast<EdgeId>(id))) put(pri_[id]);
-    put(matched_edges_.size());
-    for (EdgeId e : matched_edges_) {
-      put(e);
-      put(ehot_[e].threshold);
-      put(ehot_[e].growth);
+    put(matches_.size());
+    for (const MatchHot& mh : matches_) {
+      put(mh.edge);
+      put(mh.threshold);
+      put(mh.growth);
     }
     std::size_t vb = vh_.size();
     put(vb);
@@ -493,7 +523,7 @@ class DynamicMatcher {
   bool import_state(std::span<const std::uint64_t> in,
                     std::size_t vertex_limit) {
     assert(pool_.live_count() == 0 && insert_epoch_ == 0 &&
-           settle_epoch_ == 0 && matched_edges_.empty() &&
+           settle_epoch_ == 0 && matches_.empty() &&
            "import into a used matcher");
     std::size_t p = 0;
     auto need = [&](std::uint64_t n) { return in.size() - p >= n; };
@@ -524,11 +554,13 @@ class DynamicMatcher {
       if (!pool_.live(e)) return false;
       for (VertexId v : pool_.vertices(e))
         if (vh_[v].taken_by != kInvalid) return false;
-      EdgeHot& h = ehot_[e];
-      h.threshold = in[p++];
-      h.growth = static_cast<std::uint32_t>(in[p++]);
-      matched_add(e);
-      for (VertexId v : pool_.vertices(e)) vh_[v].taken_by = e;
+      MatchHot mh{e, 0, in[p++]};
+      mh.growth = static_cast<std::uint32_t>(in[p++]);
+      for (VertexId v : pool_.vertices(e)) {
+        vh_[v].taken_by = e;
+        vh_[v].match_pos = static_cast<std::uint32_t>(matches_.size());
+      }
+      matches_.push_back(mh);
     }
     if (!need(2)) return false;
     std::uint64_t vb = in[p++];
@@ -566,7 +598,7 @@ class DynamicMatcher {
         if (!pool_.live(e)) return false;
         auto vs = pool_.vertices(e);
         if (std::find(vs.begin(), vs.end(), v) == vs.end()) return false;
-        adj_.append(h.adj, pool_.packed_ref(e));
+        adj_.append(h.adj, pool_.packed_ref(e), true);
       }
       covered += cnt;
     }
@@ -612,10 +644,7 @@ class DynamicMatcher {
 
   void ensure_bounds() {
     std::size_t ib = pool_.id_bound();
-    if (pri_.size() < ib) {
-      pri_.resize(ib, 0);
-      ehot_.resize(ib);
-    }
+    if (pri_.size() < ib) pri_.resize(ib, 0);
     std::size_t vb = pool_.vertex_bound();
     if (vh_.size() < vb) vh_.resize(vb);
   }
@@ -684,13 +713,14 @@ class DynamicMatcher {
 
   // ---- match bookkeeping ----------------------------------------------
 
-  // Per-edge/per-vertex state of a new match. Safe to run in parallel over
-  // a vertex-disjoint winner set; the matched-edge set itself is appended
-  // sequentially by the caller (commit_matches).
-  void commit_arrays(EdgeId e) {
+  // Writes new match e into match-list slot pos and its endpoints'
+  // records. Safe to run in parallel over a vertex-disjoint winner set
+  // whose slots the caller has already sized (commit_matches).
+  void commit_match(EdgeId e, std::size_t pos) {
     std::size_t nbhd = 0;
     for (VertexId v : pool_.vertices(e)) {
       vh_[v].taken_by = e;
+      vh_[v].match_pos = static_cast<std::uint32_t>(pos);
       nbhd += vh_[v].live_deg;
     }
     // Level quantization: remember the settle size only up to the gap.
@@ -708,42 +738,47 @@ class DynamicMatcher {
       cap *= gap;
     }
     std::uint64_t hf = cfg_.heavy_factor;
-    EdgeHot& h = ehot_[e];
-    h.threshold =
+    std::uint64_t threshold =
         (saturated || (hf != 0 && cap > kMax / hf)) ? kMax : hf * cap;
-    h.growth = 0;
+    matches_[pos] = MatchHot{e, 0, threshold};
   }
 
-  void matched_add(EdgeId e) {
-    ehot_[e].matched_pos = static_cast<std::uint32_t>(matched_edges_.size());
-    matched_edges_.push_back(e);
+  // Appends match e at the back of the match list (the sequential
+  // finalize steps).
+  void push_match(EdgeId e) {
+    matches_.emplace_back();
+    commit_match(e, matches_.size() - 1);
   }
 
-  // Applies a vertex-disjoint winner set: per-edge/per-vertex arrays in the
-  // (possibly forked) phase, then the matched-edge list append in winner
-  // order. The single application loop shared by the steal and greedy
-  // paths.
+  // Applies a vertex-disjoint winner set: the match list grows by the
+  // winners in winner order, and the (possibly forked) phase fills their
+  // slots and endpoint records. The single application loop shared by the
+  // steal and greedy paths.
   void commit_matches(std::span<const EdgeId> winners) {
     charge_phase(winners.size());
+    std::size_t base = matches_.size();
+    matches_.resize(base + winners.size());
     parallel::parallel_for_blocked(
         0, winners.size(), [&](std::size_t b, std::size_t e) {
           sweep_block(
               b, e,
               [&](std::size_t i) {
-                EdgeId f = winners[i];
-                prefetch_write(&ehot_[f]);
-                for (VertexId v : pool_.vertices(f)) prefetch_write(&vh_[v]);
+                for (VertexId v : pool_.vertices(winners[i]))
+                  prefetch_write(&vh_[v]);
               },
-              [&](std::size_t i) { commit_arrays(winners[i]); });
+              [&](std::size_t i) { commit_match(winners[i], base + i); });
         });
-    for (EdgeId e : winners) matched_add(e);
     if (delta_sink_)
       for (EdgeId e : winners)
         for (VertexId v : pool_.vertices(e)) delta_sink_->push_back(v);
   }
 
-  // Frees e's vertices into the batch's pending-settle set (ws_.freed).
+  // Frees matched e's vertices into the batch's pending-settle set
+  // (ws_.freed) and fills e's match-list slot with the back entry, whose
+  // endpoints learn their new match_pos.
   void unmatch(EdgeId e) {
+    assert(vh_[pool_.vertices(e)[0]].taken_by == e);
+    std::uint32_t idx = vh_[pool_.vertices(e)[0]].match_pos;
     for (VertexId v : pool_.vertices(e)) {
       if (vh_[v].taken_by == e) {
         vh_[v].taken_by = kInvalid;
@@ -751,11 +786,10 @@ class DynamicMatcher {
         if (delta_sink_) delta_sink_->push_back(v);
       }
     }
-    std::uint32_t idx = ehot_[e].matched_pos;
-    EdgeId last = matched_edges_.back();
-    matched_edges_[idx] = last;
-    ehot_[last].matched_pos = idx;
-    matched_edges_.pop_back();
+    const MatchHot& last = matches_.back();
+    for (VertexId v : pool_.vertices(last.edge)) vh_[v].match_pos = idx;
+    matches_[idx] = last;
+    matches_.pop_back();
   }
 
   bool all_endpoints_free(EdgeId e) const {
@@ -786,9 +820,11 @@ class DynamicMatcher {
     comp_scanned = 0;
     std::size_t len = vh_[v].adj.len;
     if (len >= 16 + 2 * (static_cast<std::size_t>(vh_[v].live_deg) + cnt))
-      comp_scanned = adj_.compact_visit(
-          vh_[v].adj, [&](std::uint64_t ref) { return pool_.ref_valid(ref); });
-    for (std::uint32_t j = 0; j < cnt; ++j) adj_.append(vh_[v].adj, ref_at(j));
+      comp_scanned = adj_.compact_visit(vh_[v].adj, seq, [&](std::uint64_t ref) {
+        return pool_.ref_valid(ref);
+      });
+    for (std::uint32_t j = 0; j < cnt; ++j)
+      adj_.append(vh_[v].adj, ref_at(j), seq);
     vh_[v].live_deg += cnt;
     bloat_out = kInvalid;
     EdgeId t = vh_[v].taken_by;
@@ -800,7 +836,7 @@ class DynamicMatcher {
     // The neighborhood of match t grew; check the level bound. Exactly
     // one fetch-add interval straddles the threshold, so each bloated
     // edge is reported by exactly one group (plain add when inline).
-    EdgeHot& h = ehot_[t];
+    MatchHot& h = matches_[vh_[v].match_pos];
     std::uint64_t before;
     if (seq) {
       before = h.growth;
@@ -815,7 +851,7 @@ class DynamicMatcher {
   // P2 of insert_edges: fill the batch's flat (endpoint, edge-ref)
   // incidence, group it by endpoint, and let one owner per vertex-group
   // apply apply_group, so appends and live_deg bumps are race-free; growth
-  // bumps target per-edge counters shared between groups (fetch-add when
+  // bumps target per-match counters shared between groups (fetch-add when
   // the groups fork). Group ORDER is free: appends, live_deg, and
   // compaction triggers are per-vertex; growth is an order-independent sum
   // whose threshold crossing fires exactly once in any accumulation order;
@@ -857,7 +893,11 @@ class DynamicMatcher {
 
     std::size_t ng = groups.num_groups();
     // Slab headroom for the appends below, sized before the group phase so
-    // chunk allocation is a pure bump (graph/adjacency.h).
+    // chunk allocation is a free-list pop or a pure bump, never a slab
+    // (graph/adjacency.h).
+    if (adj_.chunks_bumped() != bumped_seen_ ||
+        kept_heads_.size() >= vh_.size())
+      reclaim_kept_heads();
     adj_.reserve_for(total, ng);
     charge_phases(2, ng);  // group apply + compaction-scan reduce
     charge_phase(ng);      // bloated-match filter
@@ -874,8 +914,8 @@ class DynamicMatcher {
             if (g + 4 < e)
               adj_.prefetch_append_target(vh_[groups.key(g + 4)].adj);
             if (g + 3 < e) {
-              EdgeId t = vh_[groups.key(g + 3)].taken_by;
-              if (t != kInvalid) prefetch_write(&ehot_[t]);
+              const auto& r = vh_[groups.key(g + 3)];
+              if (!r.free()) prefetch_write(&matches_[r.match_pos]);
             }
             auto refs = groups.group(g);
             std::size_t comp = 0;
@@ -895,6 +935,26 @@ class DynamicMatcher {
     prims::radix_sort(bloated, [](EdgeId e) { return std::uint64_t(e); },
                       id_bits(), ws_.arena);
     return bloated;
+  }
+
+  // Returns the head chunks that inline delete passes kept for emptied
+  // vertices (kept_heads_) to the adjacency free list. Keeping them spares
+  // a small-batch stream the free-list round trip (two cold chunk lines)
+  // of every vertex that empties and refills (DESIGN.md S7); reclaiming
+  // them whenever the free list has run dry since the last reclaim (the
+  // arena bumped fresh chunks), or the list has grown to the vertex bound,
+  // keeps them from holding memory that appends elsewhere need. Entries
+  // whose vertex has refilled, or that repeat, are skipped.
+  void reclaim_kept_heads() {
+    sweep_block(
+        0, kept_heads_.size(),
+        [&](std::size_t i) { prefetch_write(&vh_[kept_heads_[i]]); },
+        [&](std::size_t i) {
+          auto& r = vh_[kept_heads_[i]];
+          if (r.live_deg == 0) adj_.release_chain(r.adj, true);
+        });
+    kept_heads_.clear();
+    bumped_seen_ = adj_.chunks_bumped();
   }
 
   // P3 body: 0 = blocked, 1 = all-free greedy candidate, 2 = steal
@@ -970,8 +1030,7 @@ class DynamicMatcher {
         }
       }
       if (displaced) ++stolen;
-      m.commit_arrays(e);
-      m.matched_add(e);
+      m.push_match(e);
       if (m.delta_sink_)
         for (VertexId v : m.pool_.vertices(e)) m.delta_sink_->push_back(v);
     }
@@ -1056,12 +1115,13 @@ class DynamicMatcher {
   // Settle's one adjacency pass: compacts adj_'s chain for the free vertex
   // pending[i] (each dead entry is dropped exactly once) and caches every
   // free incident edge into this vertex's workspace candidate slice.
-  // Returns the scan length for work accounting.
-  std::size_t harvest_candidates(std::size_t i, VertexId v) {
+  // Returns the scan length for work accounting. `seq` is whether the
+  // harvest phase runs inline.
+  std::size_t harvest_candidates(std::size_t i, VertexId v, bool seq) {
     std::uint32_t w = 0;
     EdgeId* out = ws_.cand_pool.data() + ws_.cand_off[i];
     std::size_t scanned = adj_.compact_visit(
-        vh_[v].adj,
+        vh_[v].adj, seq,
         [&](std::uint64_t entry) {
           if (!pool_.ref_valid(entry)) return false;  // stale: compact away
           EdgeId e = graph::EdgePool::ref_id(entry);
@@ -1087,13 +1147,21 @@ class DynamicMatcher {
     return scanned;
   }
 
-  // unmatch with the matched-position and matched-list lines staged ahead:
-  // three tiny sweeps turn the dependent-miss chain (ehot_[e].matched_pos ->
-  // matched_edges_[idx]) into overlapped misses before the serial loop.
+  // unmatch with its dependent lines staged ahead: tiny sweeps turn the
+  // miss chains (victim record -> its match-list slot; back entry -> its
+  // pool record -> its endpoints' records, which learn their new
+  // match_pos) into overlapped misses before the serial loop. The victim
+  // records are resident from the delete pass; the back entries moved
+  // into the freed slots are the last |victims| ones, give or take the
+  // victims among them.
   void unmatch_all(std::span<const EdgeId> victims) {
-    for (EdgeId e : victims) prefetch_read(&ehot_[e]);
+    std::size_t nb = std::min(victims.size(), matches_.size());
+    const MatchHot* back = matches_.data() + matches_.size() - nb;
+    for (std::size_t j = 0; j < nb; ++j) pool_.prefetch_record(back[j].edge);
     for (EdgeId e : victims)
-      prefetch_write(&matched_edges_[ehot_[e].matched_pos]);
+      prefetch_write(&matches_[vh_[pool_.vertices(e)[0]].match_pos]);
+    for (std::size_t j = 0; j < nb; ++j)
+      for (VertexId v : pool_.vertices(back[j].edge)) prefetch_write(&vh_[v]);
     for (EdgeId e : victims) unmatch(e);
   }
 
@@ -1171,8 +1239,7 @@ class DynamicMatcher {
         m.pri_[e] = m.settle_pri_.word(e, epoch);
         ++m.stats_.samples_created;
       }
-      m.commit_arrays(e);
-      m.matched_add(e);
+      m.push_match(e);
       if (m.delta_sink_)
         for (VertexId u : m.pool_.vertices(e)) m.delta_sink_->push_back(u);
     }
@@ -1236,7 +1303,7 @@ class DynamicMatcher {
         }
         VertexId v = pending[i];
         if (vh_[v].taken_by == kInvalid)
-          scanned += harvest_candidates(i, v);
+          scanned += harvest_candidates(i, v, seq);
         else
           ws_.cand_len[i] = 0;
       }
@@ -1274,10 +1341,11 @@ class DynamicMatcher {
   std::vector<VertexId>* delta_sink_ = nullptr;  // serve-layer mirror hook
 
   std::vector<std::uint64_t> pri_;       // id -> current sample
-  std::vector<EdgeHot> ehot_;            // id -> packed bloat + list state
   std::vector<matching::VertexHot> vh_;  // vertex -> packed hot record
-  graph::ChunkedAdjacency adj_;             // vertex -> (gen, id) packed refs
-  std::vector<EdgeId> matched_edges_;       // the matching, unordered
+  graph::ChunkedAdjacency adj_;          // vertex -> (gen, id) packed refs
+  std::vector<MatchHot> matches_;        // the matching, unordered
+  std::vector<VertexId> kept_heads_;     // emptied vertices keeping a head
+  std::size_t bumped_seen_ = 0;          // chunks_bumped() at last reclaim
 };
 
 }  // namespace parmatch::dyn

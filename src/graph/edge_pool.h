@@ -209,11 +209,11 @@ class EdgePool {
   std::size_t live_count() const { return live_; }
   std::size_t max_rank() const { return max_rank_; }
 
-  // Heap bytes held by the pool (record slab + free list, capacity not
-  // size -- the benches' bytes-per-update memory accounting).
+  // Bytes of the pool's records and free list, by size, not capacity (the
+  // benches' bytes-per-live-edge accounting).
   std::size_t memory_bytes() const {
-    return data_.capacity() * sizeof(std::uint32_t) +
-           free_.capacity() * sizeof(EdgeId);
+    return data_.size() * sizeof(std::uint32_t) +
+           free_.size() * sizeof(EdgeId);
   }
 
   // --- checkpoint serialization (DESIGN.md S14) -------------------------

@@ -106,6 +106,47 @@ TEST(AllocFree, SteadyStateBatchesDoNotTouchTheHeap) {
   EXPECT_GT(dm.workspace().arena.capacity(), 0u);
 }
 
+// The same contract while the adjacency arena recycles: a sliding window
+// over R-MAT batches (insert batch i, delete batch i - 2) keeps emptying
+// low-degree vertices, whose chains go back to the free list, and refilling
+// them from it. Once the free list has absorbed the window's churn, release
+// and reuse are list operations on chunks the arena already owns.
+TEST(AllocFree, RecyclingWindowDoesNotTouchTheHeap) {
+  dyn::Config cfg;
+  cfg.seed = 19;
+  dyn::DynamicMatcher dm(cfg);
+  constexpr std::size_t kBatches = 6, kWindow = 2;
+  std::vector<graph::EdgeBatch> batches;
+  for (std::size_t b = 0; b < kBatches; ++b)
+    batches.push_back(gen::rmat(10, 1'500, 200 + b));
+  std::vector<std::vector<EdgeId>> ids(kBatches);
+  for (auto& v : ids) v.reserve(1'500);
+  std::size_t step = 0, lo = ~std::size_t{0}, hi = 0;
+  auto run_steps = [&](std::size_t n) {
+    for (std::size_t s = 0; s < n; ++s, ++step) {
+      if (step >= kWindow) dm.delete_edges(ids[(step - kWindow) % kBatches]);
+      lo = std::min(lo, dm.adjacency().chunks_in_use());
+      auto got = dm.insert_edges(batches[step % kBatches]);
+      ids[step % kBatches].assign(got.begin(), got.end());
+      hi = std::max(hi, dm.adjacency().chunks_in_use());
+    }
+  };
+
+  run_steps(12 * kBatches);  // warmup: reach every high-water mark
+  lo = ~std::size_t{0};
+  hi = 0;
+
+  std::uint64_t before = g_news.load(std::memory_order_relaxed);
+  run_steps(6 * kBatches);
+  std::uint64_t after = g_news.load(std::memory_order_relaxed);
+
+  EXPECT_EQ(after - before, 0u)
+      << "recycling batches performed " << (after - before)
+      << " heap allocations (allocation-free contract, DESIGN.md S7)";
+  // Not vacuous: every slide returned chunks and every insert took some.
+  EXPECT_LT(lo + 20, hi);
+}
+
 // state_fingerprint folds the export stream as it is emitted instead of
 // collecting it: on a matcher holding 100k+ live edges it makes at most
 // one heap allocation (the chain section's has-live bitmap), where a

@@ -39,9 +39,11 @@ struct BatchRecord {
   bool operator==(const BatchRecord&) const = default;
 };
 
-std::vector<BatchRecord> run_workload(const gen::Workload& w,
-                                      parallel::ExecMode mode,
-                                      bool light_only = false) {
+// Runs w under `mode`; with `fingerprints`, also records the state
+// fingerprint after every batch.
+std::vector<BatchRecord> run_workload(
+    const gen::Workload& w, parallel::ExecMode mode, bool light_only = false,
+    std::vector<std::uint64_t>* fingerprints = nullptr) {
   parallel::ExecMode saved = parallel::exec_mode();
   parallel::set_exec_mode(mode);
   dyn::Config cfg;
@@ -68,6 +70,7 @@ std::vector<BatchRecord> run_workload(const gen::Workload& w,
         cs.steal_rounds, cs.spec_retries, cs.stolen, cs.bloated,
         bs.settle_rounds, bs.steal_rounds, bs.spec_retries,
         bs.max_greedy_rounds, bs.parallel_phases, bs.measured_depth});
+    if (fingerprints) fingerprints->push_back(dm.state_fingerprint());
   }
   parallel::set_exec_mode(saved);
   return out;
@@ -115,6 +118,25 @@ TEST(ExecModes, LightOnlyAblationBitIdenticalAcrossModes) {
   auto ad = run_workload(w, parallel::ExecMode::kAdaptive, true);
   expect_identical(seq, par, "light_only", 7);
   expect_identical(seq, ad, "light_only", 7);
+}
+
+// A sliding window over a hub-heavy graph empties vertices every slide,
+// so the delete pass releases whole chains (forked: onto the pending list)
+// and later appends pop the recycled chunks (forked: by CAS). Chunk
+// indices then depend on the schedule; the trajectory and the exported
+// state must not.
+TEST(ExecModes, ChainReleasingWindowBitIdenticalAcrossModes) {
+  auto w = gen::sliding_window(gen::rmat(11, 12'000, 37), 500, 3);
+  std::vector<std::uint64_t> fp[2];
+  std::vector<BatchRecord> rec[2];
+  const parallel::ExecMode modes[2] = {parallel::ExecMode::kSequential,
+                                       parallel::ExecMode::kParallel};
+  for (int m = 0; m < 2; ++m) {
+    rec[m] = run_workload(w, modes[m], false, &fp[m]);
+    EXPECT_EQ(fp[m].size(), w.steps.size());
+  }
+  expect_identical(rec[0], rec[1], "chain_release", 500);
+  EXPECT_EQ(fp[0], fp[1]);
 }
 
 // The fused_batches diagnostic must actually engage: forced-sequential
