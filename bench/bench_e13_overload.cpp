@@ -18,8 +18,9 @@
 // with a drain between chunks so nothing sheds before measurement starts.
 //
 // Every run self-checks exact shed conservation --
-//   offered == committed + shed_reject + shed_evict + shed_stale (per
-//   lane and in total), and committed == applied + absorbed + dropped --
+//   offered == committed + shed_reject + shed_evict + shed_stale + refused
+//   (per lane and in total; the harness submits no malformed edge, so
+//   refused stays 0), and committed == applied + absorbed + dropped --
 // and exits nonzero on any mismatch; CI runs the pinned 2x-saturation
 // poisson row and additionally gates the admitted p99 against
 // BENCH_baseline.json (check_latency_regression.py).
@@ -175,13 +176,14 @@ RunResult run_stream(const gen::Workload& w,
     r.all.offered += lr.offered;
     r.all.committed += lr.committed;
     r.all.shed += shed;
-    if (lr.offered != lr.committed + shed) {
+    if (lr.offered != lr.committed + shed + lr.refused) {
       std::fprintf(stderr,
                    "E13: shed conservation violated on lane %zu: offered "
-                   "%llu != committed %llu + shed %llu\n",
+                   "%llu != committed %llu + shed %llu + refused %llu\n",
                    l, static_cast<unsigned long long>(lr.offered),
                    static_cast<unsigned long long>(lr.committed),
-                   static_cast<unsigned long long>(shed));
+                   static_cast<unsigned long long>(shed),
+                   static_cast<unsigned long long>(lr.refused));
       std::exit(1);
     }
   }

@@ -19,14 +19,14 @@
 //      ckpt_kb is the size of the newest checkpoint file the run left on
 //      disk (0 when the interval never fired).
 //
-// CI crash-matrix helpers (used by the crash-recovery workflow job):
+// CI crash-matrix helpers (used by the ASan workflow job's crash arms):
 //
 //   --crash-run --dir=D [--updates=N] [--max-batch=B]
 //       Insert-only deterministic stream, pinned window partition (flushes
 //       on max_batch only), journal policy commit on D. With
-//       PARMATCH_FI_CRASH_AT / _TORN_TAIL / _FLIP_BYTE set in a
-//       -DPARMATCH_FAULT_INJECT=ON build the process SIGKILLs itself at
-//       the injected journal append; CI asserts the 137 exit.
+//       PARMATCH_FI_CRASH_AT / _TORN_TAIL / _FLIP_BYTE set the process
+//       SIGKILLs itself at the injected journal append; CI asserts the
+//       137 exit.
 //   --recover-check --dir=D [--updates=N] [--max-batch=B]
 //       Recovers from D, then proves bit-identity two independent ways:
 //       (a) against an UNCRASHED run of the journaled prefix -- the pinned

@@ -44,7 +44,8 @@
 // it: every offered request is counted at submit (per lane), and each one
 // terminates in exactly one of {applied through a window, absorbed
 // in-window, shed at admission, shed by eviction, shed stale at form
-// time}. offered == accepted + shed and accepted == applied, where
+// time, refused by the service's input contract}. offered == accepted +
+// shed + refused and accepted == applied, where
 // "applied" includes absorbed conflict-window pairs and dropped dead
 // tickets (they were processed, not shed).
 //
@@ -218,6 +219,14 @@ class AdmissionQueue {
     return PushResult::kAccepted;
   }
 
+  // Counts a request the caller refused before admission (MatchService's
+  // input contract): offered on its lane, never enqueued, never shed.
+  void refuse(std::size_t lane) {
+    std::size_t l = lane < cfg_.lanes ? lane : cfg_.lanes - 1;
+    offered_[l].fetch_add(1, std::memory_order_relaxed);
+    refused_[l].fetch_add(1, std::memory_order_relaxed);
+  }
+
   // ---- consumer side (the single drain / former thread) ----------------
 
   // Weighted-high-first pop. Redeems pending drop-oldest eviction credits
@@ -294,6 +303,9 @@ class AdmissionQueue {
   std::uint64_t shed_evict(std::size_t lane) const {
     return shed_evict_[lane].load(std::memory_order_relaxed);
   }
+  std::uint64_t refused(std::size_t lane) const {
+    return refused_[lane].load(std::memory_order_relaxed);
+  }
   // Outstanding drop-oldest credits a blocked producer has granted but the
   // consumer has not yet redeemed. Observable so tests (and diagnostics)
   // can sequence against the producer reaching its blocked state.
@@ -314,6 +326,7 @@ class AdmissionQueue {
       offered_[l].store(0, std::memory_order_relaxed);
       shed_reject_[l].store(0, std::memory_order_relaxed);
       shed_evict_[l].store(0, std::memory_order_relaxed);
+      refused_[l].store(0, std::memory_order_relaxed);
     }
   }
 
@@ -325,6 +338,7 @@ class AdmissionQueue {
   std::atomic<std::uint64_t> offered_[kMaxLanes] = {};
   std::atomic<std::uint64_t> shed_reject_[kMaxLanes] = {};
   std::atomic<std::uint64_t> shed_evict_[kMaxLanes] = {};
+  std::atomic<std::uint64_t> refused_[kMaxLanes] = {};
   std::atomic<std::uint64_t> evict_credit_[kMaxLanes] = {};
 };
 

@@ -8,14 +8,13 @@
 // one where the drain would otherwise always keep up and the process never
 // dies.
 //
-// The hooks compile to constant no-ops unless the build enables them
-// (-DPARMATCH_FAULT_INJECT=ON at CMake configure time, which defines
-// PARMATCH_FAULT_INJECT for the whole interface library), so a production
-// build carries zero overhead and zero behavioral risk. With the option
-// on, each hook is still inert until its environment knob is set -- the
-// injector re-reads the environment at construction (one per
-// MatchService / AdmissionQueue), so tests can reconfigure between
-// service instances without re-execing.
+// The hooks are compiled into every build and are for tests only. Each
+// one is inert until its environment knob is set: it tests a plain member
+// that stays zero otherwise, so an unarmed hook costs one load and a
+// predictable branch. The injector reads the environment at construction
+// (one per MatchService), so tests can reconfigure between service
+// instances without re-execing. A production binary obeys the knobs too:
+// PARMATCH_FI_CRASH_AT in its environment really SIGKILLs it.
 //
 // Knobs (all counts are in calls/windows on the injected site):
 //   PARMATCH_FI_RING_FULL_EVERY=N  every Nth admission attempt reports
@@ -26,11 +25,6 @@
 //                                  simulates a stage that fell behind, so
 //                                  backlog, deadline flushes, and
 //                                  admission pressure build upstream.
-//   PARMATCH_FI_BURST_EVERY=N      every Nth paced submit in the E13
-//   PARMATCH_FI_BURST_LEN=K        harness fires the next K submits
-//                                  back-to-back, ignoring the arrival
-//                                  schedule -- burst amplification on top
-//                                  of any arrival model.
 //   PARMATCH_FI_CRASH_AT=N         the Nth journal append (1-based) is the
 //                                  crash point: after its bytes are
 //                                  written -- and before any fsync -- the
@@ -47,7 +41,7 @@
 //                                  (bit rot between write and reread); no
 //                                  crash -- readers must detect and stop.
 //
-// Every knob counts the faults it actually fired; fi_report() returns the
+// Every knob counts the faults it actually fired; report() returns the
 // counters and the benches publish them in JsonSink, so a CI smoke run can
 // assert injection HAPPENED rather than merely observing that nothing
 // crashed (a mis-spelled knob silently injecting nothing looks identical
@@ -56,42 +50,36 @@
 // Thread-safety: the call counters are relaxed atomics -- the "every Nth"
 // cadence is exact under a single caller (the drain and journal hooks) and
 // approximately round-robin across concurrent producers, which is all a
-// fault schedule needs. Determinism note: injected stalls/bursts change
-// batch PARTITIONS, not update semantics, so every correctness invariant
-// (conservation, final-graph equality, snapshot agreement) must still
-// hold with any injection active -- that is precisely what the fault
-// suite asserts; crash/torn/flip faults kill or corrupt the DURABLE
+// fault schedule needs. Determinism note: injected stalls and ring-fulls
+// change batch PARTITIONS, not update semantics, so every correctness
+// invariant (conservation, final-graph equality, snapshot agreement) must
+// still hold with any injection active -- that is precisely what the
+// fault suite asserts; crash/torn/flip faults kill or corrupt the DURABLE
 // artifacts, and the recovery suite asserts the recovered trajectory is
 // bit-identical anyway (DESIGN.md S14).
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <cstddef>
+#include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <thread>
 
-#if defined(PARMATCH_FAULT_INJECT)
-#include <csignal>
-#endif
-
 namespace parmatch::serve {
 
-// Counters of faults actually FIRED (not merely armed), one per knob.
-// Defined in both builds so sinks and tests can read it unconditionally;
-// all-zero when injection is compiled out or inert.
+// Counters of faults actually FIRED (not merely armed), one per knob;
+// all-zero while every knob is unset.
 struct FiReport {
   std::uint64_t ring_full_fired = 0;
   std::uint64_t stall_fired = 0;
-  std::uint64_t burst_fired = 0;
   std::uint64_t crash_fired = 0;
   std::uint64_t torn_fired = 0;
   std::uint64_t flip_fired = 0;
 
   std::uint64_t total() const {
-    return ring_full_fired + stall_fired + burst_fired + crash_fired +
-           torn_fired + flip_fired;
+    return ring_full_fired + stall_fired + crash_fired + torn_fired +
+           flip_fired;
   }
 };
 
@@ -106,26 +94,16 @@ struct JournalFaultPlan {
 
 class FaultInjector {
  public:
-#if defined(PARMATCH_FAULT_INJECT)
   FaultInjector() {
     ring_full_every_ = env_u64("PARMATCH_FI_RING_FULL_EVERY");
     stall_every_ = env_u64("PARMATCH_FI_STALL_EVERY");
     stall_us_ = env_u64("PARMATCH_FI_STALL_US");
-    burst_every_ = env_u64("PARMATCH_FI_BURST_EVERY");
-    burst_len_ = env_u64("PARMATCH_FI_BURST_LEN");
-    if (burst_every_ != 0 && burst_len_ == 0) burst_len_ = 8;
     crash_at_ = env_u64("PARMATCH_FI_CRASH_AT");
     torn_tail_ = env_i64_or("PARMATCH_FI_TORN_TAIL", -1);
     flip_at_ = env_u64("PARMATCH_FI_FLIP_BYTE");
     // A torn tail needs a crash point to tear at; default to the first
     // append so PARMATCH_FI_TORN_TAIL=K alone is a complete scenario.
     if (torn_tail_ >= 0 && crash_at_ == 0) crash_at_ = 1;
-  }
-
-  bool enabled() const {
-    return (ring_full_every_ | stall_every_ | burst_every_ | crash_at_ |
-            flip_at_) != 0 ||
-           torn_tail_ >= 0;
   }
 
   // Admission-site hook: true = pretend the lane ring is full this call.
@@ -146,18 +124,6 @@ class FaultInjector {
       return;
     stall_fired_.fetch_add(1, std::memory_order_relaxed);
     std::this_thread::sleep_for(std::chrono::microseconds(stall_us_));
-  }
-
-  // Producer-harness hook: returns how many upcoming submits should fire
-  // unpaced (burst amplification); 0 = follow the arrival schedule.
-  std::size_t burst_amplification() {
-    if (burst_every_ == 0) return 0;
-    bool fire = submits_.fetch_add(1, std::memory_order_relaxed) %
-                    burst_every_ ==
-                burst_every_ - 1;
-    if (!fire) return 0;
-    burst_fired_.fetch_add(1, std::memory_order_relaxed);
-    return static_cast<std::size_t>(burst_len_);
   }
 
   // Journal-site hook: called once per journal append, BEFORE the write.
@@ -194,7 +160,6 @@ class FaultInjector {
     FiReport r;
     r.ring_full_fired = ring_full_fired_.load(std::memory_order_relaxed);
     r.stall_fired = stall_fired_.load(std::memory_order_relaxed);
-    r.burst_fired = burst_fired_.load(std::memory_order_relaxed);
     r.crash_fired = crash_fired_.load(std::memory_order_relaxed);
     r.torn_fired = torn_fired_.load(std::memory_order_relaxed);
     r.flip_fired = flip_fired_.load(std::memory_order_relaxed);
@@ -217,33 +182,17 @@ class FaultInjector {
   std::uint64_t ring_full_every_ = 0;
   std::uint64_t stall_every_ = 0;
   std::uint64_t stall_us_ = 0;
-  std::uint64_t burst_every_ = 0;
-  std::uint64_t burst_len_ = 0;
   std::uint64_t crash_at_ = 0;
   std::int64_t torn_tail_ = -1;
   std::uint64_t flip_at_ = 0;
   std::atomic<std::uint64_t> admit_calls_{0};
   std::atomic<std::uint64_t> windows_{0};
-  std::atomic<std::uint64_t> submits_{0};
   std::atomic<std::uint64_t> journal_appends_{0};
   std::atomic<std::uint64_t> ring_full_fired_{0};
   std::atomic<std::uint64_t> stall_fired_{0};
-  std::atomic<std::uint64_t> burst_fired_{0};
   std::atomic<std::uint64_t> crash_fired_{0};
   std::atomic<std::uint64_t> torn_fired_{0};
   std::atomic<std::uint64_t> flip_fired_{0};
-#else
- public:
-  // Fault injection compiled out: every hook is a constant no-op the
-  // optimizer deletes at the call site.
-  constexpr bool enabled() const { return false; }
-  constexpr bool force_ring_full() { return false; }
-  constexpr void maybe_stall_drain() {}
-  constexpr std::size_t burst_amplification() { return 0; }
-  constexpr JournalFaultPlan journal_append_fault() { return {}; }
-  constexpr void crash_now(bool) {}
-  constexpr FiReport report() const { return {}; }
-#endif
 };
 
 }  // namespace parmatch::serve

@@ -44,9 +44,9 @@
 //
 // Fault injection: each append consults FaultInjector::journal_append_fault
 // (crash-at-Nth-append, torn tail, post-CRC byte flip -- all no-ops unless
-// -DPARMATCH_FAULT_INJECT=ON and the PARMATCH_FI_* knob is set); a planned
-// crash SIGKILLs AFTER the (possibly torn) bytes are written, which is
-// exactly the torn-write state RecordWriter::open truncates away.
+// the PARMATCH_FI_* knob is set); a planned crash SIGKILLs AFTER the
+// (possibly torn) bytes are written, which is exactly the torn-write state
+// RecordWriter::open truncates away.
 #pragma once
 
 #include <atomic>

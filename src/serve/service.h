@@ -75,8 +75,12 @@
 // synchronously by returning kShedTicket; deletes are never shed. On top,
 // the former applies the deadline-aware admit budget
 // (PARMATCH_ADMIT_BUDGET_US): inserts older than the budget at form time
-// are shed as stale. Accounting is exactly conservative --
+// are shed as stale. Before any of that, submit_insert refuses an edge
+// that breaks the input contract (validate(): the same check journal
+// replay applies) and returns kRefusedTicket. Accounting is exactly
+// conservative --
 //     offered == committed + shed_admission + shed_evict + shed_stale
+//                + refused
 // where committed covers applied, absorbed, and dropped-dead-ticket
 // requests; the E13 bench and the admission tests gate on the equality.
 // The drain also publishes a degradation state machine
@@ -139,7 +143,8 @@ struct ServiceConfig {
   std::size_t queue_capacity = 1u << 16;  // per-lane ring capacity
   // Snapshot capacity: one atomic word per vertex, fixed at construction
   // so reads never race a reallocation. Submitting a vertex >= this bound
-  // is a caller error (asserted in debug builds). It also bounds recovery:
+  // is a caller error: asserted in debug builds, refused with
+  // kRefusedTicket in release builds. It also bounds recovery:
   // a checkpoint whose vertex bound exceeds it is rejected as corrupt
   // before the matcher sizes any per-vertex array.
   graph::VertexId max_vertices = 1u << 20;
@@ -210,6 +215,11 @@ class MatchService {
   // Deleting kShedTicket is a no-op by construction -- it can never match
   // a live ticket -- but callers should simply skip the delete.
   static constexpr std::uint64_t kShedTicket = ~0ull;
+  // Producer-visible sentinel: submit_insert returns this when the edge
+  // breaks the input contract (see validate()). Nothing was enqueued and
+  // no ticket was spent; the lane counts the request as refused. Like
+  // kShedTicket it never matches a live ticket.
+  static constexpr std::uint64_t kRefusedTicket = ~0ull - 1;
 
   explicit MatchService(const ServiceConfig& cfg)
       : cfg_(capped(cfg)),
@@ -313,31 +323,26 @@ class MatchService {
   // ---- producer API (any thread) ---------------------------------------
 
   // Submits one edge insertion on priority lane `lane` (0 = highest, and
-  // the default). Returns its ticket, or kShedTicket when the admission
+  // the default). Returns its ticket, kRefusedTicket when the edge breaks
+  // the input contract (validate()), or kShedTicket when the admission
   // policy shed the request at the door (reject-new, full lane). With the
   // default policy (kNone) it blocks under backpressure (bounded-backoff
-  // spin) and always returns a real ticket.
+  // spin) and returns a real ticket for every valid edge.
   std::uint64_t submit_insert(std::span<const VertexId> vs,
                               std::uint8_t lane = 0) {
     assert(vs.size() >= 1 && vs.size() <= UpdateRequest::kMaxRank &&
            vs.size() <= cfg_.matcher.max_rank);
     UpdateRequest r;
+    r.lane = lane_of(lane);
+    // The assert's release-build counterpart: a malformed edge must never
+    // reach the inline endpoint array, the journal, or the matcher.
+    if (!validate(vs)) {
+      queue_.refuse(r.lane);
+      return kRefusedTicket;
+    }
     r.ticket = next_ticket_.fetch_add(1, std::memory_order_relaxed);
-    // Clamp ONCE at the API edge so the admission counters and the
-    // former's per-lane accounting agree on the request's class.
-    r.lane = lane < cfg_.admission.lanes
-                 ? lane
-                 : static_cast<std::uint8_t>(cfg_.admission.lanes - 1);
-    // The clamp backs the assert up in release builds: an oversized span
-    // is a contract violation either way, but it must never become an
-    // out-of-bounds write -- neither into the inline endpoint array here
-    // nor into the pool's fixed-stride record at apply time.
-    std::size_t cap = cfg_.matcher.max_rank < UpdateRequest::kMaxRank
-                          ? cfg_.matcher.max_rank
-                          : UpdateRequest::kMaxRank;
-    std::size_t n = vs.size() < cap ? vs.size() : cap;
-    r.rank = static_cast<std::uint32_t>(n);
-    for (std::size_t i = 0; i < n; ++i) {
+    r.rank = static_cast<std::uint32_t>(vs.size());
+    for (std::size_t i = 0; i < vs.size(); ++i) {
       assert(vs[i] < cfg_.max_vertices);
       r.v[i] = vs[i];
     }
@@ -361,9 +366,7 @@ class MatchService {
     UpdateRequest r;
     r.ticket = ticket;
     r.rank = 0;
-    r.lane = lane < cfg_.admission.lanes
-                 ? lane
-                 : static_cast<std::uint8_t>(cfg_.admission.lanes - 1);
+    r.lane = lane_of(lane);
     push(r);
   }
 
@@ -439,6 +442,28 @@ class MatchService {
     return cfg;
   }
 
+  // Clamp ONCE at the API edge so the admission counters and the
+  // former's per-lane accounting agree on the request's class.
+  std::uint8_t lane_of(std::uint8_t lane) const {
+    return lane < cfg_.admission.lanes
+               ? lane
+               : static_cast<std::uint8_t>(cfg_.admission.lanes - 1);
+  }
+
+  // The one input contract for an inserted edge, checked by submit_insert
+  // and by journal replay so live apply never accepts what replay would
+  // refuse: 1..max_rank endpoints (cfg_ caps max_rank at the ring cells'
+  // UpdateRequest::kMaxRank; EdgePool's fixed-stride rows only assert it)
+  // and every vertex below max_vertices (a vertex near 2^32 would wrap
+  // the matcher's vertex bound). An empty span would otherwise turn into
+  // a rank-0 request, which the former reads as a delete.
+  bool validate(std::span<const VertexId> vs) const {
+    if (vs.empty() || vs.size() > cfg_.matcher.max_rank) return false;
+    for (VertexId v : vs)
+      if (v >= cfg_.max_vertices) return false;
+    return true;
+  }
+
  public:
 
   // Live monitoring counters (any thread).
@@ -464,13 +489,14 @@ class MatchService {
 
   // Merged per-lane accounting: admission-side counters + commit-side
   // stats. Conservation -- offered == committed + shed_reject +
-  // shed_evict + shed_stale -- holds exactly when the service is idle and
-  // producers are quiesced (same safety rule as stats()).
+  // shed_evict + shed_stale + refused -- holds exactly when the service is
+  // idle and producers are quiesced (same safety rule as stats()).
   struct LaneReport {
     std::uint64_t offered = 0;      // submit_* calls routed to this lane
     std::uint64_t shed_reject = 0;  // rejected at admission (reject-new)
     std::uint64_t shed_evict = 0;   // evicted oldest (drop-oldest)
     std::uint64_t shed_stale = 0;   // admit-budget sheds at form time
+    std::uint64_t refused = 0;      // malformed inserts (kRefusedTicket)
     std::uint64_t committed = 0;    // applied + absorbed + dropped-dead
     const util::LatencyHistogram* latency = nullptr;  // committed only
   };
@@ -480,6 +506,7 @@ class MatchService {
     lr.shed_reject = queue_.shed_reject(lane);
     lr.shed_evict = queue_.shed_evict(lane);
     lr.shed_stale = stats_.lane_shed_stale[lane];
+    lr.refused = queue_.refused(lane);
     lr.committed = stats_.lane_committed[lane];
     lr.latency = &stats_.lane_latency[lane];
     return lr;
@@ -1042,17 +1069,11 @@ class MatchService {
     }
   }
 
-  // Whether a decoded journal record's inserts fit this service: each
-  // edge within the matcher's rank (EdgePool's fixed-stride rows only
-  // assert it) and each vertex below max_vertices (a vertex near 2^32
-  // would wrap the matcher's vertex bound). Checked before apply_batch.
+  // Whether every insert of a decoded journal record passes the same
+  // validate() that submit_insert applies. Checked before apply_batch.
   bool replayable(const graph::EdgeBatch& inserts) const {
-    for (std::size_t i = 0; i < inserts.size(); ++i) {
-      auto vs = inserts.edge(i);
-      if (vs.size() > cfg_.matcher.max_rank) return false;
-      for (VertexId v : vs)
-        if (v >= cfg_.max_vertices) return false;
-    }
+    for (std::size_t i = 0; i < inserts.size(); ++i)
+      if (!validate(inserts.edge(i))) return false;
     return true;
   }
 

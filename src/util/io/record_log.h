@@ -25,8 +25,8 @@
 // decides *when* to call sync() -- that is the whole off/async/commit
 // policy knob -- so this layer deliberately has no policy of its own.
 //
-// Fault-injection hooks: AppendFault lets the caller (serve/journal.h under
-// -DPARMATCH_FAULT_INJECT=ON) flip a payload byte after the CRC was
+// Fault-injection hooks: AppendFault lets the caller (serve/journal.h, when
+// a PARMATCH_FI_* knob is set) flip a payload byte after the CRC was
 // computed, or write only a prefix of the frame, exercising exactly the
 // corruption classes the open-time scan must tolerate.
 //

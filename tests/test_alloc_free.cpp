@@ -51,6 +51,11 @@ void* operator new(std::size_t sz, std::align_val_t al) {
 void* operator new[](std::size_t sz, std::align_val_t al) {
   return ::operator new(sz, al);
 }
+// Every replacement new above returns malloc's memory, so free is the
+// matching release. GCC 12 sees operator new's pointer reach free once it
+// inlines these bodies and reports a mismatch that is not there.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -63,6 +68,7 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
+#pragma GCC diagnostic pop
 
 namespace {
 

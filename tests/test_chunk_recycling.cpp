@@ -125,8 +125,9 @@ TEST_P(ChunkRecycling, ChunksFollowLiveIncidences) {
 TEST_P(ChunkRecycling, KeptHeadsReturnOnceTheFreeListRunsDry) {
   dyn::DynamicMatcher dm;
   slide(dm, [] {});
-  if (GetParam() == parallel::ExecMode::kSequential)
+  if (GetParam() == parallel::ExecMode::kSequential) {
     ASSERT_GT(census(dm).kept, 0u);  // not vacuous
+  }
   // Fresh vertices above the window's: each needs a head chunk, more than
   // the free list holds.
   std::size_t bumped = dm.adjacency().chunks_bumped();

@@ -3,10 +3,10 @@
 // round trip, checkpoint write/load/prune, journal replay fidelity through
 // MatchService, checkpoint-vs-pure-replay equivalence, recovery under the
 // admission shed policies (sheds never enter the journal; PR 8
-// conservation re-checked on the recovered service), and -- in
-// -DPARMATCH_FAULT_INJECT=ON builds -- real SIGKILL crash points
-// (mid-window, torn tail, header-torn) driven through child re-exec, with
-// the recovered state checked bit-identical to an uncrashed run of the
+// conservation re-checked on the recovered service), and real SIGKILL
+// crash points (mid-window, post-checkpoint, torn tail, header-torn,
+// post-checksum byte flip) driven through child re-exec, with the
+// recovered state checked bit-identical to an uncrashed run of the
 // journaled prefix.
 #include <gtest/gtest.h>
 
@@ -86,8 +86,8 @@ bool matching_is_valid_and_maximal(const dyn::DynamicMatcher& dm) {
 
 // Drives `n` fresh inserts over four priority lanes into a started
 // service, stops it, and checks shed conservation per lane -- offered ==
-// committed + shed_reject + shed_evict + shed_stale -- plus a valid,
-// maximal matching. Used on freshly recovered services.
+// committed + shed_reject + shed_evict + shed_stale + refused -- plus a
+// valid, maximal matching. Used on freshly recovered services.
 void expect_post_recovery_conservation(serve::MatchService& svc,
                                        std::size_t n, VertexId nv,
                                        std::uint64_t salt) {
@@ -107,9 +107,9 @@ void expect_post_recovery_conservation(serve::MatchService& svc,
     auto lr = svc.lane_report(l);
     off += lr.offered;
     com += lr.committed;
-    shed += lr.shed_reject + lr.shed_evict + lr.shed_stale;
+    shed += lr.shed_reject + lr.shed_evict + lr.shed_stale + lr.refused;
     EXPECT_EQ(lr.offered, lr.committed + lr.shed_reject + lr.shed_evict +
-                              lr.shed_stale)
+                              lr.shed_stale + lr.refused)
         << "lane " << l << " post-recovery conservation";
   }
   EXPECT_EQ(off, com + shed);
@@ -977,9 +977,86 @@ TEST(ServiceRecovery, ReplayRejectsVertexPastMaxVertices) {
   expect_replay_rejects("rej_vmax", {0xFFFF'FFFFull, 3});
 }
 
-#if defined(PARMATCH_FAULT_INJECT)
+// ---- the submit input contract --------------------------------------------
 
-// ---- real SIGKILL crash points (fault-injection builds only) -------------
+// submit_insert applies the same validate() as journal replay. Submits two
+// out-of-range vertices (707 against max_vertices 700, and 2^32 - 1), an
+// empty span and an edge over the matcher's rank, each between two valid
+// inserts, the bad ones on the last lane. Each bad submit must be refused
+// on the spot and counted, the service must keep committing, and a
+// restart must recover every acknowledged edge -- no rejected record -- at
+// the stopped service's fingerprint.
+void expect_submit_refuses_what_replay_rejects(const char* tag,
+                                               std::size_t max_batch,
+                                               std::size_t lanes) {
+  DirGuard g(temp_dir(tag));
+  serve::ServiceConfig cfg = pinned_cfg(g.dir, serve::JournalPolicy::kCommit);
+  cfg.former.max_batch = max_batch;
+  cfg.admission.lanes = lanes;
+  const auto bad_lane = static_cast<std::uint8_t>(lanes - 1);
+  const VertexId past_bound[2] = {3, 707};
+  const VertexId wraps[2] = {3, 0xFFFF'FFFFu};
+  const VertexId over_rank[3] = {7, 8, 9};
+  const std::span<const VertexId> bad[] = {
+      {past_bound, 2}, {wraps, 2}, {}, {over_rank, 3}};
+  std::vector<std::uint64_t> acked;
+  std::uint64_t fp_stop = 0;
+  {
+    serve::MatchService svc(cfg);
+    svc.start();
+    VertexId next = 10;
+    auto submit_valid = [&] {
+      std::uint64_t t = svc.submit_insert(next, next + 1);
+      next += 2;
+      EXPECT_LT(t, serve::MatchService::kRefusedTicket);
+      acked.push_back(t);
+    };
+    submit_valid();
+    for (std::span<const VertexId> vs : bad) {
+      EXPECT_EQ(svc.submit_insert(vs, bad_lane),
+                serve::MatchService::kRefusedTicket);
+      submit_valid();
+    }
+    svc.stop();
+    EXPECT_EQ(svc.lane_report(bad_lane).refused, std::size(bad));
+    for (std::size_t l = 0; l < lanes; ++l) {
+      auto lr = svc.lane_report(l);
+      EXPECT_EQ(lr.offered, lr.committed + lr.shed_reject + lr.shed_evict +
+                                lr.shed_stale + lr.refused)
+          << "lane " << l;
+    }
+    EXPECT_EQ(svc.matcher().pool().live_count(), acked.size());
+    fp_stop = svc.recovery_fingerprint();
+  }
+  serve::MatchService recovered(cfg);
+  EXPECT_FALSE(recovered.recovery_info().rejected_record);
+  EXPECT_EQ(recovered.recovery_info().epoch_mismatches, 0u);
+  EXPECT_EQ(recovered.matcher().pool().live_count(), acked.size());
+  for (std::uint64_t t : acked)
+    EXPECT_NE(recovered.edge_of_ticket(t), graph::kInvalidEdge)
+        << "acknowledged ticket " << t << " lost in recovery";
+  EXPECT_EQ(recovered.recovery_fingerprint(), fp_stop);
+}
+
+// One update per window: a bad submit that got through would be its own
+// journal record, and replay would stop there.
+TEST(SubmitContract, RefusesWhatReplayRejectsOneUpdatePerWindow) {
+#ifndef NDEBUG
+  GTEST_SKIP() << "debug builds assert the submit contract instead";
+#endif
+  expect_submit_refuses_what_replay_rejects("contract_w1", 1, 1);
+}
+
+// Every valid insert shares one window with the others; the refusals are
+// counted on their own lane.
+TEST(SubmitContract, RefusesWhatReplayRejectsInASharedWindow) {
+#ifndef NDEBUG
+  GTEST_SKIP() << "debug builds assert the submit contract instead";
+#endif
+  expect_submit_refuses_what_replay_rejects("contract_w64", 64, 2);
+}
+
+// ---- real SIGKILL crash points -------------------------------------------
 
 constexpr std::size_t kCrashBatch = 16;
 constexpr std::size_t kCrashUpdates = 600;
@@ -1066,6 +1143,10 @@ TEST(RecoveryCrash, BitIdenticalAfterEveryInjectedCrashPoint) {
       {"torn_header", "PARMATCH_FI_CRASH_AT=4 PARMATCH_FI_TORN_TAIL=3", true},
       // Nothing of the final frame written (crash between windows).
       {"torn_empty", "PARMATCH_FI_CRASH_AT=6 PARMATCH_FI_TORN_TAIL=0", false},
+      // Record 6's payload flipped after its checksum, then a kill at
+      // append 8: the open-time scan truncates at the corrupt record and
+      // replay recovers the prefix before it.
+      {"flip", "PARMATCH_FI_CRASH_AT=8 PARMATCH_FI_FLIP_BYTE=6", true},
   };
   for (const CrashScenario& sc : scenarios) {
     SCOPED_TRACE(sc.name);
@@ -1088,8 +1169,9 @@ TEST(RecoveryCrash, BitIdenticalAfterEveryInjectedCrashPoint) {
     EXPECT_TRUE(info.ran);
     EXPECT_FALSE(info.import_failed);
     EXPECT_EQ(info.epoch_mismatches, 0u);
-    if (sc.expect_truncation)
+    if (sc.expect_truncation) {
       EXPECT_GT(recovered.journal().truncated_bytes(), 0u);
+    }
 
     // Uncrashed reference over exactly the journaled prefix.
     std::uint64_t last_seq =
@@ -1112,7 +1194,5 @@ TEST(RecoveryCrash, BitIdenticalAfterEveryInjectedCrashPoint) {
                                       91);
   }
 }
-
-#endif  // PARMATCH_FAULT_INJECT
 
 }  // namespace
