@@ -3,12 +3,19 @@
 // parallel_for (which the old shared-cursor pool flattened to sequential),
 // and skewed per-iteration grains (stealing balance). Table bench with
 // --seed/--json like E1-E10 so runs land in the BENCH_*.json trajectory.
+//
+// It forces ExecMode::kParallel: in adaptive mode every loop up to
+// parallel::kPhaseCutover items runs inline, so the forkjoin rows at small
+// n, the nested rows and the skewed row would time a plain loop. Forced,
+// every row forks, and the us/launch column at small n is the pool's
+// fork/join launch + join cost.
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <vector>
 
 #include "bench_common.h"
+#include "parallel/cost_model.h"
 #include "parallel/parallel_for.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -99,6 +106,7 @@ double skewed_sequential(std::size_t n) {
 
 int main(int argc, char** argv) {
   bench_init(argc, argv, "micro_scheduler");
+  parallel::set_exec_mode(parallel::ExecMode::kParallel);
   std::printf(
       "micro/scheduler: fork/join substrate costs at %d workers.\n"
       "  forkjoin: parallel_for vs plain loop (launch overhead + per-item)\n"

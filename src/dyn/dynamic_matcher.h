@@ -65,7 +65,7 @@
 // Whether a phase runs as one inline block with plain memory ops or as
 // forked blocks is decided only inside the primitives that run the body
 // (parallel_for_blocked, prims::pack_blocks, group_by, speculative_for),
-// from parallel/cost_model.h's calibrated cutover. A body that shares a
+// from parallel/cost_model.h's cutover. A body that shares a
 // counter across blocks asks run_phase_seq of the same n whether it needs
 // an atomic; insert P2 instead follows its batch size and hands that one
 // answer to its primitives and its body (apply_adjacency). Every phase makes the SAME keyed RNG draws and charges the
@@ -197,7 +197,7 @@ class DynamicMatcher {
     stats_.work_units += batch.total_cardinality();
     if (k == 0) return ids;
 
-    // Diagnostics only: the batch is below the calibrated cutover, so its
+    // Diagnostics only: the batch is at or below the cutover, so its
     // phases run inline (parbench reports the share as fused_frac).
     if (parallel::run_phase_seq(k)) ++stats_.fused_batches;
 

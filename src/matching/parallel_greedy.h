@@ -18,9 +18,9 @@
 // Per-vertex state lives in the packed VertexHot record
 // (matching/vertex_hot.h): taken_by and the min_edge reservation slot share
 // a cache line. Execution strategy per round comes from
-// parallel::run_spec_round_seq (fused plain-memory rounds below the
-// speculation break-even, forked phases with CAS-min reservations above);
-// either way the matching, rounds, and retries are bit-identical.
+// parallel::run_spec_round_seq (fused plain-memory rounds up to
+// parallel::kSpecCutover items, forked phases with CAS-min reservations
+// above); either way the matching, rounds, and retries are bit-identical.
 //
 // Complexity contract: O(m' + retries) work with E[retries] = O(m'), depth
 // O(log^2 m') whp: O(log m') rounds of O(log) span phases.

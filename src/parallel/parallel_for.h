@@ -33,11 +33,11 @@ inline std::size_t default_grain(std::size_t n) {
   return g < 2048 ? g : 2048;
 }
 
-// f(begin, end) over [lo, hi) in chunks. Adaptive: when the cost model says
-// a phase of this size cannot amortize the fork/join launch
-// (parallel/cost_model.h), the whole range is delivered as one inline chunk
-// on the calling thread -- same contract as the 1-worker fast path, so the
-// blocked primitives need no changes.
+// f(begin, end) over [lo, hi) in chunks. Adaptive: a phase of at most
+// kPhaseCutover items (parallel/cost_model.h), too small to amortize the
+// fork/join launch, is delivered as one inline chunk on the calling thread
+// -- same contract as the 1-worker fast path, so the blocked primitives
+// need no changes.
 template <typename F>
 void parallel_for_blocked(std::size_t lo, std::size_t hi, F&& f,
                           std::size_t grain = 0) {

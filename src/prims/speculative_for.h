@@ -44,12 +44,13 @@
 // constant (or the caller's explicit argument), never machine-derived.
 //
 // Execution strategy (DESIGN.md S11): each round consults
-// parallel::run_spec_round_seq(size) once; below the cutover all three
-// phases run inline with plain memory ops, above it they fork, with the
-// reservation helpers switching between plain min-writes and CAS-min on
-// std::atomic_ref. Scratch (two retry queues, the status bytes, the pack
-// counters) is carved from a caller ScratchArena once per invocation, so a
-// warm engine allocates nothing (tests/test_alloc_free.cpp).
+// parallel::run_spec_round_seq(size) once; up to parallel::kSpecCutover
+// (8192) items all three phases run inline with plain memory ops, above it
+// they fork, with the reservation helpers switching between plain
+// min-writes and CAS-min on std::atomic_ref. Scratch (two retry queues, the
+// status bytes, the pack counters) is carved from a caller ScratchArena
+// once per invocation, so a warm engine allocates nothing
+// (tests/test_alloc_free.cpp).
 //
 // Complexity contract: O(n + retries) work; each round charges
 // kSpecRoundPhases * model_depth(prefix) of measured depth through the

@@ -11,7 +11,10 @@
 //     the phase size where the fork/join path is predicted to beat inline
 //     execution. Past that point batching buys no more per-update
 //     throughput, so holding the window only adds latency. 0 (1-worker
-//     pool or forced-sequential mode) disables this criterion.
+//     pool or forced-sequential mode) disables this criterion. At the
+//     defaults the break-even (parallel::kPhaseCutover + 1 = 32769) lies
+//     above max_batch (8192), so this criterion fires only when
+//     PARMATCH_MAX_BATCH is raised past it.
 //   * deadline:    the OLDEST request in the window has waited
 //     FormerConfig::max_delay_us (PARMATCH_MAX_DELAY_US) since its
 //     *enqueue* instant -- queue wait counts against the deadline, not
@@ -61,7 +64,8 @@ struct FormerConfig {
   std::uint64_t max_delay_us = 200;  // oldest-request deadline
                                      // (PARMATCH_MAX_DELAY_US)
   // Cost-model flush size; 0 = derive from parallel::parallel_break_even()
-  // at construction (the calibrated fork/join crossover).
+  // at construction (32769 at the default cutover, above the default
+  // max_batch, so only a raised max_batch lets this flush fire).
   std::size_t cost_flush = 0;
   // Deadline-aware admission budget (PARMATCH_ADMIT_BUDGET_US): an insert
   // that has already waited longer than this when its window forms is shed

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <vector>
 
 #include "dyn/dynamic_matcher.h"
@@ -165,6 +166,29 @@ TEST(ExecModes, FusedDiagnosticReflectsMode) {
   }
   parallel::set_exec_mode(saved);
   EXPECT_EQ(dm.cumulative_stats().fused_batches, batches);
+}
+
+// The adaptive cutovers are constants fixed in the source: each decision
+// flips exactly one past its constant, and the batch former's break-even
+// sits right above the phase cutover. (A PARMATCH_CUTOVER pin replaces
+// both constants, and a 1-worker pool runs every phase inline.)
+TEST(ExecModes, ConstantCutoverEdges) {
+  if (parallel::num_workers() < 2)
+    GTEST_SKIP() << "1-worker pool: every phase runs inline";
+  if (std::getenv("PARMATCH_CUTOVER") != nullptr)
+    GTEST_SKIP() << "PARMATCH_CUTOVER pins the cutover";
+  using parallel::kPhaseCutover;
+  using parallel::kSpecCutover;
+  const parallel::ExecMode saved = parallel::exec_mode();
+  parallel::set_exec_mode(parallel::ExecMode::kAdaptive);
+  EXPECT_TRUE(parallel::run_phase_seq(kPhaseCutover));
+  EXPECT_FALSE(parallel::run_phase_seq(kPhaseCutover + 1));
+  EXPECT_TRUE(parallel::run_spec_round_seq(kSpecCutover));
+  EXPECT_FALSE(parallel::run_spec_round_seq(kSpecCutover + 1));
+  EXPECT_EQ(parallel::parallel_break_even(), kPhaseCutover + 1);
+  EXPECT_EQ(parallel::CostModel::instance().phase_cutover(), kPhaseCutover);
+  EXPECT_EQ(parallel::CostModel::instance().spec_cutover(), kSpecCutover);
+  parallel::set_exec_mode(saved);
 }
 
 // PARMATCH_EXEC_MODE parsing (the env override the serving deployment

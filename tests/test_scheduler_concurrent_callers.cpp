@@ -178,27 +178,30 @@ TEST(SchedulerConcurrentCallers, RootChurnStress) {
 // the root: matcher bodies ask run_phase_seq(n) to pick plain or atomic
 // memory and then call parallel_for, which asks again, so a flip between
 // the two calls would fork a body that chose plain memory. Sweeps n over
-// [cutover/2, 2*cutover] with the root free, then again while a second
+// [spec cutover/2, 2*cutover] with the root free, then again while a second
 // thread blocks inside a forked Scheduler::run (a parallel_for that small
-// would run inline and hold nothing), and requires identical answers.
+// would run inline and hold nothing), and requires identical answers --
+// also from parallel_break_even, which the batch former reads.
 TEST(SchedulerConcurrentCallers, PhaseDecisionIgnoresConcurrentCallers) {
   if (parallel::num_workers() < 2)
     GTEST_SKIP() << "1-worker pool: every phase runs inline";
   const parallel::ExecMode saved = parallel::exec_mode();
   parallel::set_exec_mode(parallel::ExecMode::kAdaptive);
   const std::size_t cut = parallel::CostModel::instance().phase_cutover();
-  const std::size_t lo = cut / 2 > 0 ? cut / 2 : 1;
+  const std::size_t spec = parallel::CostModel::instance().spec_cutover();
+  const std::size_t lo = spec / 2 > 0 ? spec / 2 : 1;
   const std::size_t hi = cut > 0 ? 2 * cut : 64;
   const std::size_t step = (hi - lo) / 96 > 0 ? (hi - lo) / 96 : 1;
   auto sweep = [&] {
-    std::vector<std::uint8_t> out;
+    std::vector<std::size_t> out;
     for (std::size_t n = lo; n <= hi; n += step) {
       out.push_back(parallel::run_phase_seq(n));
       out.push_back(parallel::run_spec_round_seq(n));
     }
+    out.push_back(parallel::parallel_break_even());
     return out;
   };
-  const std::vector<std::uint8_t> free_root = sweep();
+  const std::vector<std::size_t> free_root = sweep();
 
   std::atomic<bool> inside{false}, release{false};
   std::thread holder([&] {
@@ -214,7 +217,7 @@ TEST(SchedulerConcurrentCallers, PhaseDecisionIgnoresConcurrentCallers) {
          std::chrono::steady_clock::now() < deadline)
     std::this_thread::yield();
   const bool held = inside.load(std::memory_order_acquire);
-  const std::vector<std::uint8_t> held_root = sweep();
+  const std::vector<std::size_t> held_root = sweep();
   release.store(true, std::memory_order_release);
   holder.join();
   parallel::set_exec_mode(saved);
