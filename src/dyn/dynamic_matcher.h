@@ -66,9 +66,11 @@
 // forked blocks is decided only inside the primitives that run the body
 // (parallel_for_blocked, prims::pack_blocks, group_by, speculative_for),
 // from parallel/cost_model.h's cutover. A body that shares a
-// counter across blocks asks run_phase_seq of the same n whether it needs
-// an atomic; insert P2 instead follows its batch size and hands that one
-// answer to its primitives and its body (apply_adjacency). Every phase makes the SAME keyed RNG draws and charges the
+// counter across blocks asks run_phase_seq of the same value its loop
+// passes whether it needs an atomic: its n, or for settle's harvest the
+// incidences it scans; insert P2 instead follows its batch size and hands
+// that one answer to its primitives and its body (apply_adjacency). Every
+// phase makes the SAME keyed RNG draws and charges the
 // SAME model depth either way, so the trajectory (matching, stats, depth
 // counters) is bit-identical across PARMATCH_EXEC_MODE=sequential/parallel/
 // adaptive and any thread count (tests/test_exec_modes.cpp,
@@ -198,7 +200,9 @@ class DynamicMatcher {
     if (k == 0) return ids;
 
     // Diagnostics only: the batch is at or below the cutover, so its
-    // phases run inline (parbench reports the share as fused_frac).
+    // per-update phases run inline (parbench reports the share as
+    // fused_frac). Its settle harvest may still fork: that phase weighs
+    // the incidences it scans, not its vertex count.
     if (parallel::run_phase_seq(k)) ++stats_.fused_batches;
 
     // P1: every inserted edge draws its sample, keyed (batch epoch, slot).
@@ -1271,8 +1275,10 @@ class DynamicMatcher {
     std::size_t total = prims::scan_exclusive(off, ws_.arena);
     if (ws_.cand_pool.size() < total) ws_.cand_pool.resize(total);
 
+    // The harvest's work is the chains it scans, not its vertex count: a
+    // few freed hubs can hold most of a batch's incidences.
     charge_phase(np);
-    const bool seq = parallel::run_phase_seq(np);
+    const bool seq = parallel::run_phase_seq(total);
     std::size_t scanned_total = 0;
     auto peek_entry = [&](std::uint64_t entry) {
       pool_.prefetch_record(graph::EdgePool::ref_id(entry));
@@ -1308,7 +1314,7 @@ class DynamicMatcher {
           ws_.cand_len[i] = 0;
       }
       add_block_sum(scanned_total, scanned, seq);
-    });
+    }, 0, total);
     stats_.work_units += scanned_total;
 
     auto choice = ws_.arena.alloc<EdgeId>(np);

@@ -35,7 +35,8 @@ struct CumulativeStats {
                                     // most k items and insert P2 run
                                     // inline; settle, steal and greedy
                                     // phases larger than the cutover still
-                                    // fork.
+                                    // fork, and so does a settle harvest
+                                    // that scans more incidences than it.
                                     // Execution diagnostics only: this is
                                     // the ONE counter that legitimately
                                     // differs across PARMATCH_EXEC_MODE

@@ -20,15 +20,17 @@
 //    entirely) for reproducible runs; CostModel holds the pin or the
 //    constants.
 //
-//  * run_phase_seq(n) -- the per-phase decision every parallel_for makes
-//    (parallel/parallel_for.h consults it internally): true means the
-//    phase WILL run inline on the calling thread, so loop bodies may take
-//    their plain-memory fallbacks for CAS/fetch-add sites. The decision
-//    never changes results -- the plain and atomic variants compute the
-//    same values by the determinism contract (DESIGN.md S2) -- only the
-//    schedule, so matchings and stats stay bit-identical across modes. It
-//    is a function of n, the mode and the cutover alone: no concurrent
-//    caller can flip it between a body's question and its parallel_for's.
+//  * run_phase_seq(work) -- the per-phase decision every parallel_for
+//    makes (parallel/parallel_for.h consults it internally): true means
+//    the phase WILL run inline on the calling thread, so loop bodies may
+//    take their plain-memory fallbacks for CAS/fetch-add sites. A phase's
+//    work is its item count unless its items differ widely in cost (settle's
+//    harvest passes the incidences it scans). The decision never changes
+//    results -- the plain and atomic variants compute the same values by
+//    the determinism contract (DESIGN.md S2) -- only the schedule, so
+//    matchings and stats stay bit-identical across modes. It is a function
+//    of the work, the mode and the cutover alone: no concurrent caller can
+//    flip it between a body's question and its parallel_for's.
 //
 // Complexity contract: run_phase_seq, run_spec_round_seq and
 // parallel_break_even are each one relaxed load of a bound folded from the
@@ -46,11 +48,13 @@ namespace parmatch::parallel {
 
 enum class ExecMode : int { kAdaptive = 0, kSequential = 1, kParallel = 2 };
 
-// Phase sizes <= this run inline in adaptive mode. At 32768 a batch of up
-// to 2^15 updates runs each of its phases as one inline block; larger
-// settle, steal and greedy phases fork. BENCH_cutover.json sweeps other
-// values.
-inline constexpr std::size_t kPhaseCutover = 1u << 15;
+// Phases of at most this much work run inline in adaptive mode. At 8192 a
+// batch of up to 2^13 updates runs each of its per-update phases as one
+// inline block; larger batches, and settle harvests that scan more
+// incidences, fork.
+// BENCH_cutover.json sweeps other values, BENCH_phased.json records the
+// A/B that set this one.
+inline constexpr std::size_t kPhaseCutover = 1u << 13;
 
 // Rounds of the deterministic-reservations engine (prims/speculative_for.h)
 // fork above this many items. Each item of a round does a keyed RNG draw,
@@ -147,16 +151,16 @@ inline void set_exec_mode(ExecMode m) {
                                   std::memory_order_relaxed);
 }
 
-// The per-phase decision: true when a phase of n items runs inline on the
-// calling thread (so plain-memory fallbacks are safe), false when it takes
-// the work-stealing path. parallel_for consults this internally; phase
-// bodies that branch on it must pass the SAME n as their loop bound. The
-// answer depends only on n, the mode and the cutover -- never on what
-// other threads are doing -- so a body and the parallel_for it then calls
-// always agree. (An empty phase counts as inline in every mode; no
-// primitive runs one.)
-inline bool run_phase_seq(std::size_t n) {
-  return n <= detail::phase_bound_slot().load(std::memory_order_relaxed);
+// The per-phase decision: true when a phase of this much work runs inline
+// on the calling thread (so plain-memory fallbacks are safe), false when it
+// takes the work-stealing path. parallel_for consults this internally; a
+// body that branches on run_phase_seq passes the same value its loop passes
+// (the item count, or the loop's work argument). The answer depends only on
+// the work, the mode and the cutover -- never on what other threads are
+// doing -- so a body and the parallel_for it then calls always agree. (Zero
+// work counts as inline in every mode.)
+inline bool run_phase_seq(std::size_t work) {
+  return work <= detail::phase_bound_slot().load(std::memory_order_relaxed);
 }
 
 // The per-round decision for the deterministic-reservations engine

@@ -33,17 +33,24 @@ inline std::size_t default_grain(std::size_t n) {
   return g < 2048 ? g : 2048;
 }
 
+// parallel_for_blocked's default work argument: the phase's item count.
+inline constexpr std::size_t kWorkIsItems = static_cast<std::size_t>(-1);
+
 // f(begin, end) over [lo, hi) in chunks. Adaptive: a phase of at most
-// kPhaseCutover items (parallel/cost_model.h), too small to amortize the
+// kPhaseCutover work (parallel/cost_model.h), too little to amortize the
 // fork/join launch, is delivered as one inline chunk on the calling thread
 // -- same contract as the 1-worker fast path, so the blocked primitives
-// need no changes.
+// need no changes. The work is hi - lo unless the caller passes `work`, for
+// a phase whose items cost very different amounts (settle's harvest passes
+// the incidences it will scan); a body that branches on run_phase_seq
+// passes it the same value its loop passes.
 template <typename F>
 void parallel_for_blocked(std::size_t lo, std::size_t hi, F&& f,
-                          std::size_t grain = 0) {
+                          std::size_t grain = 0,
+                          std::size_t work = kWorkIsItems) {
   if (hi <= lo) return;
   std::size_t n = hi - lo;
-  if (run_phase_seq(n)) {
+  if (run_phase_seq(work == kWorkIsItems ? n : work)) {
     f(lo, hi);
     return;
   }

@@ -45,7 +45,7 @@
 //
 // Execution strategy (DESIGN.md S11): each round consults
 // parallel::run_spec_round_seq(size) once; up to parallel::kSpecCutover
-// (8192) items all three phases run inline with plain memory ops, above it
+// (2048) items all three phases run inline with plain memory ops, above it
 // they fork, with the reservation helpers switching between plain
 // min-writes and CAS-min on std::atomic_ref. Scratch (two retry queues, the
 // status bytes, the pack counters) is carved from a caller ScratchArena

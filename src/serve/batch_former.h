@@ -12,7 +12,7 @@
 //     execution. Past that point batching buys no more per-update
 //     throughput, so holding the window only adds latency. 0 (1-worker
 //     pool or forced-sequential mode) disables this criterion. At the
-//     defaults the break-even (parallel::kPhaseCutover + 1 = 32769) lies
+//     defaults the break-even (parallel::kPhaseCutover + 1 = 8193) lies
 //     above max_batch (8192), so this criterion fires only when
 //     PARMATCH_MAX_BATCH is raised past it.
 //   * deadline:    the OLDEST request in the window has waited
@@ -64,7 +64,7 @@ struct FormerConfig {
   std::uint64_t max_delay_us = 200;  // oldest-request deadline
                                      // (PARMATCH_MAX_DELAY_US)
   // Cost-model flush size; 0 = derive from parallel::parallel_break_even()
-  // at construction (32769 at the default cutover, above the default
+  // at construction (8193 at the default cutover, above the default
   // max_batch, so only a raised max_batch lets this flush fire).
   std::size_t cost_flush = 0;
   // Deadline-aware admission budget (PARMATCH_ADMIT_BUDGET_US): an insert

@@ -7,21 +7,27 @@
 // the per-batch depth counters -- must be bit-identical under
 // PARMATCH_EXEC_MODE=sequential (every phase inline), =parallel (every
 // phase forked), and =adaptive, at every batch size. This suite drives
-// small-batch churn (k = 1..64, mixed and delete-heavy) through all three
-// modes via the programmatic override (parallel::set_exec_mode) and
-// compares everything except CumulativeStats::fused_batches, the one
-// counter that intentionally records which strategy ran.
+// small-batch churn (k = 1..64, mixed and delete-heavy) and a hub whose
+// settle harvest outweighs its vertex count through all three modes via
+// the programmatic override (parallel::set_exec_mode) and compares
+// everything except CumulativeStats::fused_batches, the one counter that
+// intentionally records which strategy ran.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <mutex>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "dyn/dynamic_matcher.h"
 #include "gen/generators.h"
 #include "gen/workloads.h"
 #include "parallel/cost_model.h"
+#include "parallel/parallel_for.h"
 
 using namespace parmatch;
 using graph::EdgeId;
@@ -40,6 +46,32 @@ struct BatchRecord {
   bool operator==(const BatchRecord&) const = default;
 };
 
+BatchRecord record_batch(const dyn::DynamicMatcher& dm) {
+  const auto& cs = dm.cumulative_stats();
+  const auto& bs = dm.last_batch_stats();
+  return BatchRecord{
+      dm.matching(),     cs.work_units,      cs.samples_created,
+      cs.settle_rounds,  cs.steal_rounds,    cs.spec_retries,
+      cs.stolen,         cs.bloated,         bs.settle_rounds,
+      bs.steal_rounds,   bs.spec_retries,    bs.max_greedy_rounds,
+      bs.parallel_phases, bs.measured_depth};
+}
+
+// Applies one workload step; `live` maps master indices to live ids.
+void apply_step(dyn::DynamicMatcher& dm, const gen::Workload& w,
+                const gen::Step& step, std::vector<EdgeId>& live) {
+  if (step.is_insert) {
+    graph::EdgeBatch chunk;
+    for (std::size_t i : step.edges) chunk.add(w.master.edge(i));
+    auto ids = dm.insert_edges(chunk);
+    for (std::size_t j = 0; j < ids.size(); ++j) live[step.edges[j]] = ids[j];
+  } else {
+    std::vector<EdgeId> ids;
+    for (std::size_t i : step.edges) ids.push_back(live[i]);
+    dm.delete_edges(ids);
+  }
+}
+
 // Runs w under `mode`; with `fingerprints`, also records the state
 // fingerprint after every batch.
 std::vector<BatchRecord> run_workload(
@@ -54,23 +86,8 @@ std::vector<BatchRecord> run_workload(
   std::vector<EdgeId> live(w.master.size(), kInvalidEdge);
   std::vector<BatchRecord> out;
   for (const auto& step : w.steps) {
-    if (step.is_insert) {
-      graph::EdgeBatch chunk;
-      for (std::size_t i : step.edges) chunk.add(w.master.edge(i));
-      auto ids = dm.insert_edges(chunk);
-      for (std::size_t j = 0; j < ids.size(); ++j) live[step.edges[j]] = ids[j];
-    } else {
-      std::vector<EdgeId> ids;
-      for (std::size_t i : step.edges) ids.push_back(live[i]);
-      dm.delete_edges(ids);
-    }
-    const auto& cs = dm.cumulative_stats();
-    const auto& bs = dm.last_batch_stats();
-    out.push_back(BatchRecord{
-        dm.matching(), cs.work_units, cs.samples_created, cs.settle_rounds,
-        cs.steal_rounds, cs.spec_retries, cs.stolen, cs.bloated,
-        bs.settle_rounds, bs.steal_rounds, bs.spec_retries,
-        bs.max_greedy_rounds, bs.parallel_phases, bs.measured_depth});
+    apply_step(dm, w, step, live);
+    out.push_back(record_batch(dm));
     if (fingerprints) fingerprints->push_back(dm.state_fingerprint());
   }
   parallel::set_exec_mode(saved);
@@ -140,6 +157,78 @@ TEST(ExecModes, ChainReleasingWindowBitIdenticalAcrossModes) {
   EXPECT_EQ(fp[0], fp[1]);
 }
 
+// Settle's harvest forks on the incidences it scans, not on how many
+// vertices it harvests. Deleting a hub's matched edge frees two vertices,
+// but the hub's candidate slice holds more than kPhaseCutover spokes, so
+// in adaptive mode the harvest of that 1-update batch forks while every
+// other phase of the batch runs inline. Light churn on a background graph
+// runs between the hub cuts; each cut's spoke comes back as a new edge.
+std::vector<BatchRecord> run_hub_cuts(parallel::ExecMode mode,
+                                      std::vector<std::uint64_t>& fp,
+                                      std::vector<std::size_t>& cut_work) {
+  constexpr graph::VertexId kHub = 400;  // background uses [0, 400)
+  const std::size_t spokes = parallel::kPhaseCutover + 1024;
+  auto bg = gen::churn(gen::erdos_renyi(kHub, 1'600, 41), 8, 0.5, 43);
+  parallel::ExecMode saved = parallel::exec_mode();
+  parallel::set_exec_mode(mode);
+  dyn::Config cfg;
+  cfg.seed = 19;
+  dyn::DynamicMatcher dm(cfg);
+  std::vector<BatchRecord> out;
+  auto done = [&] {
+    out.push_back(record_batch(dm));
+    fp.push_back(dm.state_fingerprint());
+  };
+  graph::EdgeBatch star;
+  for (std::size_t j = 1; j <= spokes; ++j)
+    star.add({kHub, static_cast<graph::VertexId>(kHub + j)});
+  dm.insert_edges(star);
+  done();
+  std::vector<EdgeId> live(bg.master.size(), kInvalidEdge);
+  for (std::size_t s = 0; s < 60; ++s) {
+    apply_step(dm, bg, bg.steps[s], live);
+    done();
+    if (s % 15 != 14) continue;
+    const EdgeId cut = dm.match_of(kHub);
+    EXPECT_NE(cut, kInvalidEdge);
+    if (cut == kInvalidEdge) break;
+    graph::EdgeBatch back;
+    back.add(dm.pool().vertices(cut));
+    const std::size_t work_before = dm.cumulative_stats().work_units;
+    dm.delete_edges(std::span<const EdgeId>(&cut, 1));
+    cut_work.push_back(dm.cumulative_stats().work_units - work_before);
+    done();
+    dm.insert_edges(back);
+    done();
+  }
+  parallel::set_exec_mode(saved);
+  return out;
+}
+
+TEST(ExecModes, WeightedHarvestBitIdenticalAcrossModes) {
+  if (parallel::num_workers() < 2)
+    GTEST_SKIP() << "1-worker pool: every phase runs inline";
+  if (std::getenv("PARMATCH_CUTOVER") != nullptr)
+    GTEST_SKIP() << "PARMATCH_CUTOVER pins the cutover";
+  const parallel::ExecMode modes[3] = {parallel::ExecMode::kSequential,
+                                       parallel::ExecMode::kParallel,
+                                       parallel::ExecMode::kAdaptive};
+  std::vector<std::uint64_t> fp[3];
+  std::vector<std::size_t> cut_work[3];
+  std::vector<BatchRecord> rec[3];
+  for (int m = 0; m < 3; ++m)
+    rec[m] = run_hub_cuts(modes[m], fp[m], cut_work[m]);
+  // Each cut's harvest scanned the hub's remaining spokes: past the
+  // cutover, from a batch of one update.
+  ASSERT_EQ(cut_work[2].size(), 4u);
+  for (std::size_t w : cut_work[2]) EXPECT_GT(w, parallel::kPhaseCutover);
+  for (int m = 1; m < 3; ++m) {
+    expect_identical(rec[0], rec[m], "hub_cuts", 1);
+    EXPECT_EQ(fp[0], fp[m]);
+    EXPECT_EQ(cut_work[0], cut_work[m]);
+  }
+}
+
 // The fused_batches diagnostic must actually engage: forced-sequential
 // counts every non-empty batch, forced-parallel none (on a multi-worker
 // pool) -- on a 1-worker pool every phase is inline regardless, so only
@@ -152,16 +241,7 @@ TEST(ExecModes, FusedDiagnosticReflectsMode) {
   std::vector<EdgeId> live(w.master.size(), kInvalidEdge);
   std::size_t batches = 0;
   for (const auto& step : w.steps) {
-    if (step.is_insert) {
-      graph::EdgeBatch chunk;
-      for (std::size_t i : step.edges) chunk.add(w.master.edge(i));
-      auto ids = dm.insert_edges(chunk);
-      for (std::size_t j = 0; j < ids.size(); ++j) live[step.edges[j]] = ids[j];
-    } else {
-      std::vector<EdgeId> ids;
-      for (std::size_t i : step.edges) ids.push_back(live[i]);
-      dm.delete_edges(ids);
-    }
+    apply_step(dm, w, step, live);
     ++batches;
   }
   parallel::set_exec_mode(saved);
@@ -188,6 +268,31 @@ TEST(ExecModes, ConstantCutoverEdges) {
   EXPECT_EQ(parallel::parallel_break_even(), kPhaseCutover + 1);
   EXPECT_EQ(parallel::CostModel::instance().phase_cutover(), kPhaseCutover);
   EXPECT_EQ(parallel::CostModel::instance().spec_cutover(), kSpecCutover);
+
+  // parallel_for_blocked's work argument sets the schedule, not n: 4096
+  // items are one inline block, unless the caller weighs them past the
+  // cutover, and then the forked blocks tile [0, 4096) exactly once.
+  constexpr std::size_t kItems = 4096;
+  std::mutex mu;
+  std::vector<std::pair<std::size_t, std::size_t>> blocks;
+  auto collect = [&](std::size_t b, std::size_t e) {
+    std::lock_guard<std::mutex> lock(mu);
+    blocks.emplace_back(b, e);
+  };
+  parallel::parallel_for_blocked(0, kItems, collect);
+  ASSERT_EQ(blocks.size(), 1u);
+  EXPECT_EQ(blocks[0], std::make_pair(std::size_t{0}, kItems));
+  blocks.clear();
+  parallel::parallel_for_blocked(0, kItems, collect, 0, kPhaseCutover + 1);
+  EXPECT_GT(blocks.size(), 1u);
+  std::sort(blocks.begin(), blocks.end());
+  std::size_t next = 0;
+  for (const auto& [b, e] : blocks) {
+    EXPECT_EQ(b, next);
+    EXPECT_LT(b, e);
+    next = e;
+  }
+  EXPECT_EQ(next, kItems);
   parallel::set_exec_mode(saved);
 }
 
